@@ -14,6 +14,8 @@ loudly instead of silently mapping to the wrong user.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.sim.randomness import derive_rng
 
 
@@ -55,6 +57,18 @@ class AnonymousMapping:
             self._user_tokens[user_id] = token
             self._token_users[token] = user_id
         return token
+
+    def tokens_for_users(self, user_ids: Sequence[int]) -> list[str]:
+        """:meth:`token_for_user` of each id, in order.
+
+        One C-level pass of dict probes when every user already has a
+        token this epoch; otherwise tokens are minted in the order the
+        users appear in ``user_ids``, exactly as one call per id would.
+        """
+        tokens = list(map(self._user_tokens.get, user_ids))
+        if None in tokens:
+            tokens = list(map(self.token_for_user, user_ids))
+        return tokens
 
     def resolve_user(self, token: str) -> int:
         """Real user id behind ``token``.

@@ -8,7 +8,7 @@ and profiles are read far more often than they are written.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import AbstractSet, Any, Iterator, Mapping
 
 
 class Profile:
@@ -88,6 +88,16 @@ class Profile:
         if self._liked_frozen is None:
             self._liked_frozen = frozenset(self._liked)
         return self._liked_frozen
+
+    def liked_live(self) -> AbstractSet[int]:
+        """The liked set itself -- no snapshot, no copy.
+
+        For one-shot bulk reads that are done with it before the next
+        write (an index rebuild over every profile): freezing a copy
+        per profile, as :meth:`liked_items` does for its many-reads
+        callers, would cost more than the read.  Read-only.
+        """
+        return self._liked
 
     def disliked_items(self) -> frozenset[int]:
         """Items this user explicitly disliked (cached between writes)."""

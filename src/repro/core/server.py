@@ -20,8 +20,9 @@ the Section 5.6 bandwidth numbers read these meters.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.anonymizer import AnonymousMapping
 from repro.core.config import HyRecConfig
@@ -31,7 +32,12 @@ from repro.core.sampler import HyRecSampler
 from repro.core.tables import KnnTable, ProfileTable
 from repro.engine.jobs import EngineJob
 from repro.engine.liked_matrix import LikedMatrix, MemoryPolicy
-from repro.messages import MessageMeter
+from repro.messages import (
+    FragmentGzipWriter,
+    MessageMeter,
+    encode_json,
+    gzip_compress,
+)
 from repro.obs import Observability
 from repro.obs.registry import MetricSample
 from repro.sim.randomness import derive_rng
@@ -39,6 +45,15 @@ from repro.sim.randomness import derive_rng
 if TYPE_CHECKING:  # imported lazily at runtime (cluster imports core back)
     from repro.cluster import ClusterCoordinator, ShardStats
     from repro.cluster.rebalance import ShardRebalancer
+
+#: Profile fragments below this many bytes are cheaper to re-compress
+#: inline than to splice (each splice costs a full flush).
+SPLICE_THRESHOLD = 256
+
+
+def _job_tail(k: int, metric: str) -> bytes:
+    """The job JSON between the candidate map and the own profile."""
+    return b',"k":%d,"m":%s,"p":' % (k, encode_json(metric))
 
 
 @dataclass(frozen=True)
@@ -118,11 +133,18 @@ class HyRecServer:
                 narrow_dtypes=self.config.narrow_dtypes,
             )
         self.memory_policy = memory_policy
+        #: The deployment's shared observability: metrics registry,
+        #: request tracer, and event log -- one instance threaded
+        #: through the cluster layers, so worker-process samples and
+        #: spans aggregate with the server's own.
+        self.obs = Observability.from_config(self.config)
         #: CSR-style integer mirror of the profile table, maintained
         #: incrementally from ProfileTable writes.  Only materialized
         #: for the vectorized engine; ``None`` on the other engines.
         self.liked_matrix: LikedMatrix | None = (
-            LikedMatrix(self.profiles, memory=memory_policy)
+            LikedMatrix(
+                self.profiles, memory=memory_policy, events=self.obs.events
+            )
             if self.config.engine == "vectorized"
             else None
         )
@@ -138,11 +160,6 @@ class HyRecServer:
         #: control-loop thread -- write-count kicks and the timer both
         #: signal it, so handoffs overlap live serving.
         self.rebalancer: "ShardRebalancer | None" = None
-        #: The deployment's shared observability: metrics registry,
-        #: request tracer, and event log -- one instance threaded
-        #: through the cluster layers, so worker-process samples and
-        #: spans aggregate with the server's own.
-        self.obs = Observability.from_config(self.config)
         if self.config.engine == "sharded":
             # Imported here, not at module top: the cluster package
             # imports core modules back, and a top-level circular
@@ -190,6 +207,14 @@ class HyRecServer:
                 split_ratio=self.config.split_hot_bucket_ratio,
             )
         self.meter = MessageMeter()
+        self._tail = _job_tail(self.config.k, self.config.metric)
+        #: Deflated form of the run ``,"<token>":`` that sits between
+        #: two spliced profiles, by candidate token.  A full-flushed run
+        #: is a pure function of its bytes, so an entry is valid in any
+        #: response; the dict holds at most one entry per token of the
+        #: current epoch and is dropped when the anonymizer reshuffles.
+        self._key_runs: dict[str, bytes] = {}
+        self._key_runs_epoch = self.anonymizer.epoch
         #: Per-user write observers: called with the user id after any
         #: write that changes what that user's next personalization
         #: response may contain (a profile rating or a ``/neighbors/``
@@ -372,27 +397,28 @@ class HyRecServer:
                 "the in-process fast path cannot anonymize items; "
                 "use handle_online_request"
             )
-        candidate_ids = self._begin_request(user_id, now)
-        # Mint candidate tokens in sampling-iteration order (matching
-        # the wire path's dict comprehension), *then* sort by token --
-        # the deterministic order tie-breaks and rendering share.
-        pairs = sorted(
-            (self.anonymizer.token_for_user(uid), uid)
-            for uid in candidate_ids
-            if uid in self.profiles
-        )
-        user_token = self.anonymizer.token_for_user(user_id)
+        # Tokens are minted in the sampler set's iteration order
+        # (matching the wire path's dict comprehension), *then* the
+        # candidates are sorted by token -- the deterministic order
+        # tie-breaks and rendering share.
+        sampled = list(self._begin_request(user_id, now))
+        profiles = list(map(self.profiles.lookup(), sampled))
+        if None in profiles:  # sampled users whose profile has left the table
+            sampled = [uid for uid, p in zip(sampled, profiles) if p is not None]
+            profiles = [p for p in profiles if p is not None]
+        tokens = self.anonymizer.tokens_for_users(sampled)
+        order = sorted(range(len(tokens)), key=tokens.__getitem__)
         return EngineJob(
             user_id=user_id,
-            user_token=user_token,
-            candidate_ids=tuple(uid for _, uid in pairs),
-            candidate_tokens=tuple(token for token, _ in pairs),
+            user_token=self.anonymizer.token_for_user(user_id),
+            candidate_ids=tuple(map(sampled.__getitem__, order)),
+            candidate_tokens=tuple(map(tokens.__getitem__, order)),
             k=self.config.k,
             r=self.config.r,
             metric=self.config.metric,
             user_profile_size=len(self.profiles.get(user_id)),
             candidate_profile_sizes=tuple(
-                len(self.profiles.get(uid)) for _, uid in pairs
+                map(len, map(profiles.__getitem__, order))
             ),
             # None unless an active "request" span exists -- the job
             # then carries its context through the scheduler and the
@@ -401,7 +427,9 @@ class HyRecServer:
             trace_ctx=self.obs.tracer.current,
         )
 
-    def render_online_response(self, job: PersonalizationJob) -> bytes:
+    def render_online_response(
+        self, job: PersonalizationJob, *, body: bool = True
+    ) -> bytes | None:
         """Serialize (and compress) a job; meters the wire bytes.
 
         Fast path: the job JSON is assembled by joining each candidate
@@ -415,23 +443,31 @@ class HyRecServer:
         Item-anonymized jobs fall back to the generic encoder because
         their item keys are per-epoch tokens that cannot be cached on
         the profile.
-        """
-        from repro.messages import encode_json, gzip_compress
 
+        ``body=False`` meters the very same sizes but returns ``None``
+        (see :meth:`_render_tokenized`): for callers that replay the
+        exchange in process and never put the bytes on a socket.
+        """
         if self.config.anonymize_items:
             raw = encode_json(job.to_payload())
             wire = gzip_compress(raw) if self.config.compress else raw
             self.meter.record_bytes("server->client", len(raw), len(wire))
-            return wire
+            return wire if body else None
 
-        user = self.anonymizer.resolve_user(job.user_token)
-        pairs = [
-            (token, self.anonymizer.resolve_user(token))
-            for token in sorted(job.candidates)
-        ]
-        return self._render_tokenized(user, job.user_token, pairs, job.metric)
+        resolve = self.anonymizer.resolve_user
+        tokens = sorted(job.candidates)
+        return self._render_tokenized(
+            resolve(job.user_token),
+            job.user_token,
+            tokens,
+            [resolve(token) for token in tokens],
+            job.metric,
+            body,
+        )
 
-    def render_engine_response(self, job: EngineJob) -> bytes:
+    def render_engine_response(
+        self, job: EngineJob, *, body: bool = True
+    ) -> bytes | None:
         """Render an :class:`EngineJob` to the wire; meters the bytes.
 
         Byte-identical to :meth:`render_online_response` on the
@@ -442,73 +478,98 @@ class HyRecServer:
         return self._render_tokenized(
             job.user_id,
             job.user_token,
-            list(zip(job.candidate_tokens, job.candidate_ids)),
+            job.candidate_tokens,
+            job.candidate_ids,
             job.metric,
+            body,
         )
 
     def _render_tokenized(
         self,
         user: int,
         user_token: str,
-        pairs: list[tuple[str, int]],
+        tokens: Sequence[str],
+        candidates: Sequence[int],
         metric: str,
-    ) -> bytes:
-        """Shared fragment-splicing renderer over (token, user-id) pairs.
+        body: bool,
+    ) -> bytes | None:
+        """Shared fragment-splicing renderer over parallel token / user-id
+        sequences.
 
-        ``pairs`` must be sorted by ascending token (both callers
-        guarantee it); profiles are embedded via their cached JSON /
-        deflate fragments exactly as before.
+        ``tokens`` must be ascending (both callers guarantee it);
+        profiles are embedded via their cached JSON / deflate
+        fragments.  One loop serves all four cases: gzip or
+        plain (plain never splices), and with or without the body --
+        without, the same pieces are only weighed, so the metered
+        ``(raw, wire)`` sizes are those of the body not built.
         """
-        from repro.messages import FragmentGzipWriter, encode_json
+        if self.config.compress:
+            writer = FragmentGzipWriter(keep_body=body)
+            write, splice = writer.write, writer.write_deflated
+            threshold = SPLICE_THRESHOLD
+            if self._key_runs_epoch != self.anonymizer.epoch:
+                self._key_runs = {}
+                self._key_runs_epoch = self.anonymizer.epoch
+            key_runs = self._key_runs
+        else:
+            parts: list[bytes] = []
+            write = parts.append
+            threshold = sys.maxsize  # plain never splices: no writer needed
 
-        tail = b',"k":%d,"m":%s,"p":' % (self.config.k, encode_json(metric))
-        end = b',"r":%d,"u":%s}' % (self.config.r, encode_json(user_token))
+        write(b'{"c":{')
+        # Every candidate's key -- ``"<token>":``, comma-led after the
+        # first -- in one encode.  A token is hex, so never holds the
+        # separator.
+        keys = (
+            ('"' + '":\n,"'.join(tokens) + '":').encode("ascii").split(b"\n")
+            if tokens
+            else ()
+        )
+        aligned = False  # nothing pending since the last splice
+        for token, key, profile in zip(
+            tokens, keys, map(self.profiles.lookup(), candidates)
+        ):
+            fragment = profile.json_fragment()
+            if len(fragment) < threshold:
+                write(key)
+                write(fragment)
+                aligned = False
+                continue
+            if aligned:
+                # The whole run is this one key: its deflated form is
+                # remembered per token, sparing a compress + full flush.
+                key_run = key_runs.get(token)
+                if key_run is None:
+                    write(key)
+                    key_runs[token] = writer.flush_run()
+                else:
+                    splice(key_run, key)
+            else:
+                write(key)
+            splice(profile.deflated_fragment(), fragment)
+            aligned = True
+        write(b"}")
+        write(
+            self._tail
+            if metric == self.config.metric
+            else _job_tail(self.config.k, metric)
+        )
+        own = self.profiles.get(user)
+        fragment = own.json_fragment()
+        if len(fragment) < threshold:
+            write(fragment)
+        else:
+            splice(own.deflated_fragment(), fragment)
+        write(b',"r":%d,"u":%s}' % (self.config.r, encode_json(user_token)))
 
         if self.config.compress:
-            # Fragments below this size are cheaper to re-compress
-            # inline than to splice (each splice costs a full flush).
-            splice_threshold = 256
-            writer = FragmentGzipWriter()
-            writer.write(b'{"c":{')
-            first = True
-            for token, candidate in pairs:
-                profile = self.profiles.get(candidate)
-                writer.write(
-                    (b"" if first else b",") + b'"%s":' % token.encode("ascii")
-                )
-                first = False
-                fragment = profile.json_fragment()
-                if len(fragment) >= splice_threshold:
-                    writer.write_deflated(profile.deflated_fragment(), fragment)
-                else:
-                    writer.write(fragment)
-            writer.write(b"}" + tail)
-            own = self.profiles.get(user)
-            own_fragment = own.json_fragment()
-            if len(own_fragment) >= splice_threshold:
-                writer.write_deflated(own.deflated_fragment(), own_fragment)
-            else:
-                writer.write(own_fragment)
-            writer.write(end)
-            raw_size = writer.raw_size
             wire = writer.finish()
-            self.meter.record_bytes("server->client", raw_size, len(wire))
-            return wire
-
-        parts: list[bytes] = [b'{"c":{']
-        first = True
-        for token, candidate in pairs:
-            if not first:
-                parts.append(b",")
-            first = False
-            parts.append(b'"%s":' % token.encode("ascii"))
-            parts.append(self.profiles.get(candidate).json_fragment())
-        parts.append(b"}" + tail)
-        parts.append(self.profiles.get(user).json_fragment())
-        parts.append(end)
-        raw = b"".join(parts)
-        self.meter.record_bytes("server->client", len(raw), len(raw))
-        return raw
+            raw_size, wire_size = writer.raw_size, writer.wire_size
+        else:
+            wire = b"".join(parts) if body else None
+            raw_size = wire_size = sum(map(len, parts))
+        self.meter.record_bytes("server->client", raw_size, wire_size)
+        return wire
 
     def handle_knn_update(self, user_id: int, result: JobResult) -> list[int]:
         """Apply the widget's KNN selection; return recommended item ids.

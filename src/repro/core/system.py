@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:  # imported lazily at runtime (cluster imports core back)
     from repro.cluster import BatchScheduler
@@ -37,8 +36,7 @@ from repro.engine.jobs import EngineJob
 from repro.engine.widget import VectorizedWidget
 
 
-@dataclass(frozen=True)
-class RequestOutcome:
+class RequestOutcome(NamedTuple):
     """Everything produced by one full client-server round trip."""
 
     user_id: int
@@ -58,7 +56,7 @@ class HyRecSystem:
     def __init__(self, config: HyRecConfig | None = None, seed: int = 0) -> None:
         self.config = config if config is not None else HyRecConfig()
         self.server = HyRecServer(self.config, seed=seed)
-        self.widget: HyRecWidget | VectorizedWidget = (
+        self.widget = (
             VectorizedWidget()
             if self.config.engine in ("vectorized", "sharded")
             else HyRecWidget()
@@ -79,31 +77,66 @@ class HyRecSystem:
                 self.server.rebalancer.scheduler = self.scheduler
         self.requests_served = 0
 
-    def _use_fast_path(self) -> bool:
-        """Whether the in-process integer fast path applies.
+    @property
+    def widget(self) -> HyRecWidget | VectorizedWidget:
+        """The widget every request's job runs on (replaceable)."""
+        return self._widget
 
-        The fast path needs an array engine (vectorized or sharded), a
-        built-in metric with no custom widget hooks, and real item ids
-        on the wire (item anonymization only exists on serialized
-        payloads).
-        """
-        return (
+    @widget.setter
+    def widget(self, widget: HyRecWidget | VectorizedWidget) -> None:
+        self._widget = widget
+        # Whether the in-process integer fast path applies.  It needs an
+        # array engine (vectorized or sharded), a built-in metric with
+        # no custom widget hooks, and real item ids on the wire (item
+        # anonymization only exists on serialized payloads).  All of
+        # that is fixed once the server exists, except the widget.
+        self._fast_path = (
             (
                 self.server.liked_matrix is not None
                 or self.server.cluster is not None
             )
             and not self.config.anonymize_items
-            and isinstance(self.widget, VectorizedWidget)
-            and self.widget.can_vectorize(self.config.metric)
+            and isinstance(widget, VectorizedWidget)
+            and widget.can_vectorize(self.config.metric)
         )
 
-    def _execute_engine_job(self, job: EngineJob) -> JobResult:
-        """Run one fast-path job on whichever array back-end exists."""
-        if self.server.cluster is not None:
-            return self.server.cluster.process_engine_job(job)
-        assert isinstance(self.widget, VectorizedWidget)
-        assert self.server.liked_matrix is not None
-        return self.widget.process_engine_job(job, self.server.liked_matrix)
+    def _admit(
+        self, user_id: int, now: float
+    ) -> PersonalizationJob | EngineJob:
+        """The server's half of a request: sample a job, meter its response.
+
+        The job is rendered exactly as the HTTP deployment would render
+        it, so replay bandwidth numbers are real -- but nobody here
+        reads the body, so it is only weighed (``body=False``).  The
+        stages run under ``sample`` / ``render`` spans of the active
+        request.
+        """
+        server, tracer = self.server, self.server.obs.tracer
+        if self._fast_path:
+            build, render = server.handle_engine_request, server.render_engine_response
+        else:
+            build, render = server.handle_online_request, server.render_online_response
+        with tracer.span("sample"):
+            job = build(user_id, now=now)
+        with tracer.span("render"):
+            render(job, body=False)
+        return job
+
+    def _execute(
+        self, job: PersonalizationJob | EngineJob, parent=None
+    ) -> JobResult:
+        """The client's half: KNN selection and recommendation for ``job``.
+
+        Runs under a ``score`` span -- except on the sharded engine,
+        whose coordinator emits its own scatter/score/merge spans.
+        """
+        server = self.server
+        if self._fast_path and server.cluster is not None:
+            return server.cluster.process_engine_job(job)
+        with server.obs.tracer.span("score", parent=parent):
+            if self._fast_path:
+                return self._widget.process_engine_job(job, server.liked_matrix)
+            return self._widget.process_job(job)
 
     def close(self) -> None:
         """Release engine resources; no-op except on the sharded engine.
@@ -132,39 +165,27 @@ class HyRecSystem:
     def request(self, user_id: int, now: float = 0.0) -> RequestOutcome:
         """One full personalization round trip for ``user_id``.
 
-        The job is rendered to wire bytes (and metered) exactly as the
-        HTTP deployment would, so replay bandwidth numbers are real.
         When tracing is on, the whole round trip runs under a root
-        ``request`` span -- the job carries its context down through
-        the scheduler and shard frames, so worker score spans stitch
-        into the same trace -- and every request feeds the latency
-        histogram (plus the slow-request log past its threshold).
+        ``request`` span with one child per stage (``sample``,
+        ``render``, ``score``, ``respond``) -- the job carries the
+        root's context down through the scheduler and shard frames, so
+        worker score spans stitch into the same trace -- and every
+        request feeds the latency histogram (plus the slow-request log
+        past its threshold).
         """
         obs = self.server.obs
+        tracer = obs.tracer
         start_ns = time.perf_counter_ns()
-        span = obs.tracer.begin("request", user=user_id)
-        job: PersonalizationJob | EngineJob
-        with obs.tracer.activate(span):
-            if self._use_fast_path():
-                job = self.server.handle_engine_request(user_id, now=now)
-                self.server.render_engine_response(job)
-                result = self._execute_engine_job(job)
-            else:
-                job = self.server.handle_online_request(user_id, now=now)
-                self.server.render_online_response(job)
-                result = self.widget.process_job(job)
-            with obs.tracer.span("respond"):
+        span = tracer.begin("request", user=user_id)
+        with tracer.activate(span):
+            job = self._admit(user_id, now)
+            result = self._execute(job)
+            with tracer.span("respond"):
                 recommendations = self.server.handle_knn_update(user_id, result)
         span.finish()
         obs.note_request(user_id, (time.perf_counter_ns() - start_ns) / 1e9)
         self.requests_served += 1
-        return RequestOutcome(
-            user_id=user_id,
-            timestamp=now,
-            job=job,
-            result=result,
-            recommendations=recommendations,
-        )
+        return RequestOutcome(user_id, now, job, result, recommendations)
 
     def recommend(self, user_id: int, n: int | None = None) -> list[int]:
         """Convenience API: the top-``n`` recommendations for a user."""
@@ -190,6 +211,7 @@ class HyRecSystem:
         engine and batch size.
         """
         obs = self.server.obs
+        tracer = obs.tracer
         jobs: list[PersonalizationJob | EngineJob] = []
         # One root span per member of the window, begun at admission
         # (that is when the user's request "arrived"); each stays open
@@ -197,49 +219,34 @@ class HyRecSystem:
         # under it, and closes after its own KNN update below.
         spans = []
         starts_ns: list[int] = []
-        fast = self._use_fast_path()
         for user_id in user_ids:
             starts_ns.append(time.perf_counter_ns())
-            span = obs.tracer.begin("request", user=user_id)
+            span = tracer.begin("request", user=user_id)
             spans.append(span)
-            with obs.tracer.activate(span):
-                if fast:
-                    job: PersonalizationJob | EngineJob = (
-                        self.server.handle_engine_request(user_id, now=now)
-                    )
-                    self.server.render_engine_response(job)
-                else:
-                    job = self.server.handle_online_request(user_id, now=now)
-                    self.server.render_online_response(job)
-            jobs.append(job)
+            with tracer.activate(span):
+                jobs.append(self._admit(user_id, now))
 
-        if fast and self.scheduler is not None:
+        # Explicit parents from here on: the thread-local stack belongs
+        # to the dispatch loop, not to any one request's admission.
+        if self._fast_path and self.scheduler is not None:
             results = self.scheduler.run(jobs)  # type: ignore[arg-type]
-        elif fast:
-            results = [self._execute_engine_job(job) for job in jobs]
         else:
-            assert isinstance(self.widget, (HyRecWidget, VectorizedWidget))
-            results = [self.widget.process_job(job) for job in jobs]
+            results = [
+                self._execute(job, parent=span.ctx)
+                for job, span in zip(jobs, spans)
+            ]
 
         outcomes: list[RequestOutcome] = []
         for user_id, job, result, span, start_ns in zip(
             user_ids, jobs, results, spans, starts_ns
         ):
-            # Explicit parent: the thread-local stack belongs to the
-            # dispatch loop, not to this request's admission context.
-            with obs.tracer.span("respond", parent=span.ctx):
+            with tracer.span("respond", parent=span.ctx):
                 recommendations = self.server.handle_knn_update(user_id, result)
             span.finish()
             obs.note_request(user_id, (time.perf_counter_ns() - start_ns) / 1e9)
             self.requests_served += 1
             outcomes.append(
-                RequestOutcome(
-                    user_id=user_id,
-                    timestamp=now,
-                    job=job,
-                    result=result,
-                    recommendations=recommendations,
-                )
+                RequestOutcome(user_id, now, job, result, recommendations)
             )
         return outcomes
 

@@ -62,6 +62,14 @@ class ProfileTable:
         """The profile of ``user_id``; raises ``KeyError`` if unknown."""
         return self._profiles[user_id]
 
+    def lookup(self) -> Callable[[int], "Profile | None"]:
+        """The table's ``user_id -> profile or None`` lookup itself.
+
+        For loops that fetch many profiles: bind it once and each fetch
+        is a single dict probe, with no ``in`` test before it.
+        """
+        return self._profiles.get
+
     def get_or_create(self, user_id: int) -> Profile:
         """The profile of ``user_id``, registering the user if new."""
         profile = self._profiles.get(user_id)

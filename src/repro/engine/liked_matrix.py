@@ -68,12 +68,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
 from repro.core.tables import ProfileTable
 from repro.engine.kernels import segment_sums
+from repro.obs.events import EventLog
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -196,28 +198,32 @@ class ItemVocabulary:
         An item nobody ever rated has no column and can appear in no
         row, so dropping it changes no intersection count.
         """
-        col_of = self._col_of
-        cols = [
-            col
-            for col in (col_of.get(item) for item in items)
-            if col is not None
-        ]
+        cols = [col for col in map(self._col_of.get, items) if col is not None]
         if not cols:
             return _EMPTY
         return np.asarray(cols, dtype=np.int64)
 
-    def intern_columns(self, items: Sequence[int]) -> np.ndarray:
+    def intern_columns(self, items: Collection[int]) -> np.ndarray:
         """Columns of the given items, interning any new ones.
 
-        Used for *query* projections computed before shard tasks run:
-        a query item must hold the same column a candidate row will
-        intern for it later in the batch, so skipping is not an option
-        there.
+        One C-level pass of dict probes straight into the array; only
+        when some item is seen for the first time does a second pass
+        take the locked :meth:`intern` path for the new ones, in
+        iteration order, so columns are assigned exactly as one
+        ``intern`` per item would.  Query projections computed before
+        shard tasks run use this too: a query item must hold the same
+        column a candidate row will intern for it later in the batch,
+        so skipping is not an option there.
         """
         if not items:
             return _EMPTY
-        intern = self.intern
-        return np.asarray([intern(item) for item in items], dtype=np.int64)
+        try:
+            return np.fromiter(
+                map(self._col_of.__getitem__, items), np.int64, len(items)
+            )
+        except KeyError:
+            intern = self.intern
+            return np.fromiter(map(intern, items), np.int64, len(items))
 
 
 class LikedMatrix:
@@ -233,6 +239,7 @@ class LikedMatrix:
         vocab: ItemVocabulary | None = None,
         memory: MemoryPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
+        events: EventLog | None = None,
     ) -> None:
         """
         Args:
@@ -256,12 +263,16 @@ class LikedMatrix:
                 unbounded, int64 behaviour bit-for-bit.
             clock: Monotonic time source for TTL recency stamps
                 (injectable for deterministic tests).
+            events: Where cold-path work reports itself: a
+                ``postings_rebuild`` event, with its duration, per
+                rebuild of the CSC index.
         """
         self._table = table
         self._row_filter = row_filter
         self.vocab = vocab if vocab is not None else ItemVocabulary()
         self._memory = memory
         self._clock = clock
+        self._events = events
         self._dtype = (
             memory.dtype() if memory is not None else np.dtype(np.int64)
         )
@@ -601,9 +612,7 @@ class LikedMatrix:
         ):
             self._compact(length)
         start = self._used
-        arena = self._arena
-        for offset, item in enumerate(liked):
-            arena[start + offset] = self.column_of(item)
+        self._arena[start : start + length] = self.vocab.intern_columns(liked)
         self._used += length
         self._start[user_id] = start
         self._length[user_id] = length
@@ -629,11 +638,7 @@ class LikedMatrix:
         row = self._rated_rows.get(user_id)
         if row is None:
             rated = self._table.get(user_id).rated_items()
-            row = np.fromiter(
-                (self.column_of(item) for item in rated),
-                dtype=self._dtype,
-                count=len(rated),
-            )
+            row = self.vocab.intern_columns(rated).astype(self._dtype, copy=False)
             self._rated_rows[user_id] = row
             self._rated_len[user_id] = row.size
             if self._evict_enabled:
@@ -646,35 +651,42 @@ class LikedMatrix:
         """Columns of the given items, *skipping* un-interned ones."""
         return self.vocab.columns_of(items)
 
+    def _resident_sizes(self, user_ids: Sequence[int]) -> np.ndarray:
+        """``|L_u|`` per user, materializing cold rows on the way.
+
+        C-level dict probes straight into the array; a miss builds
+        every cold row of the list and probes again.  Once this
+        returns, all of ``user_ids`` are in the arena and stay put
+        (callers hold ``_gather_depth``), so their offsets can be read.
+        """
+        length_of = self._length
+        count = len(user_ids)
+        try:
+            return np.fromiter(map(length_of.__getitem__, user_ids), np.int64, count)
+        except KeyError:
+            for uid in user_ids:
+                if uid not in length_of:
+                    self._materialize(uid)
+            return np.fromiter(map(length_of.__getitem__, user_ids), np.int64, count)
+
     def gather_liked(
         self, user_ids: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR triple ``(indices, indptr, sizes)`` over the given users.
 
-        One Python pass collects the per-row arena offsets; the index
-        assembly itself is pure numpy, so cost scales with the total
-        number of liked items, not the number of candidates.
+        The per-row arena offsets are collected by C-level dict probes
+        and the index assembly is pure numpy, so cost scales with the
+        total number of liked items, not the number of candidates.
         """
         count = len(user_ids)
-        starts = np.empty(count, dtype=np.int64)
-        sizes = np.empty(count, dtype=np.int64)
-        start_of = self._start
-        arena_before = self._arena
         self._gather_depth += 1
         try:
-            for i, uid in enumerate(user_ids):
-                start = start_of.get(uid)
-                if start is None:
-                    self._materialize(uid)
-                    start = start_of[uid]
-                starts[i] = start
-                sizes[i] = self._length[uid]
-            if self._arena is not arena_before:
-                # A materialization compacted the arena mid-gather,
-                # moving earlier segments; re-read the (now stable)
-                # offsets.
-                for i, uid in enumerate(user_ids):
-                    starts[i] = start_of[uid]
+            # Sizes first: a cold row's materialization may compact the
+            # arena, so offsets are only read once every row is in.
+            sizes = self._resident_sizes(user_ids)
+            starts = np.fromiter(
+                map(self._start.__getitem__, user_ids), np.int64, count
+            )
             indptr = np.zeros(count + 1, dtype=np.int64)
             np.cumsum(sizes, out=indptr[1:])
             total = int(indptr[-1])
@@ -683,7 +695,7 @@ class LikedMatrix:
             else:
                 positions = np.arange(total, dtype=np.int64)
                 positions += np.repeat(starts - indptr[:-1], sizes)
-                indices = self._arena[positions]  # fancy index: a copy
+                indices = self._arena.take(positions)  # a copy
         finally:
             self._gather_depth -= 1
         if self._evict_enabled:
@@ -692,17 +704,9 @@ class LikedMatrix:
 
     def liked_sizes(self, user_ids: Sequence[int]) -> np.ndarray:
         """``|L_u|`` per user, without assembling the CSR indices."""
-        count = len(user_ids)
-        sizes = np.empty(count, dtype=np.int64)
-        length_of = self._length
         self._gather_depth += 1
         try:
-            for i, uid in enumerate(user_ids):
-                length = length_of.get(uid)
-                if length is None:
-                    self._materialize(uid)
-                    length = length_of[uid]
-                sizes[i] = length
+            sizes = self._resident_sizes(user_ids)
         finally:
             self._gather_depth -= 1
         if self._evict_enabled:
@@ -768,7 +772,7 @@ class LikedMatrix:
         posting = self._postings[col]
         length = self._post_len[col]
         if length == posting.size:
-            grown = np.zeros(2 * posting.size, dtype=self._dtype)
+            grown = np.zeros(max(4, 2 * length), dtype=self._dtype)
             grown[:length] = posting
             self._postings[col] = posting = grown
         posting[length] = user_id
@@ -785,17 +789,50 @@ class LikedMatrix:
             self._post_len[col] = length - 1
 
     def _rebuild_postings(self) -> None:
-        """Recompute every posting from the live (owned) profiles."""
-        self._sync_postings()
-        for col in range(len(self._postings)):
-            self._post_len[col] = 0
+        """Recompute every posting from the live (owned) profiles.
+
+        Every owned like becomes a ``(column, user)`` pair in two flat
+        arrays, collected without per-like Python work; a stable sort
+        by column then lays all postings out back to back, each in
+        table order (what appending like by like would give), and the
+        lists become views of that one array.  A view has no spare
+        capacity, so a column's first later append moves it to a buffer
+        of its own.  Temporaries are a few ints per like.
+        """
+        started = time.perf_counter()
         owns = self._row_filter
-        for user_id in self._table:
-            if owns is not None and not owns(user_id):
-                continue
-            for item in self._table.get(user_id).liked_items():
-                self._posting_append(self.column_of(item), user_id)
+        users = list(self._table) if owns is None else list(filter(owns, self._table))
+        if self._dtype.itemsize == 4 and users and max(users) > _INT32_MAX:
+            raise ValueError(
+                f"user id {max(users)} exceeds the int32 range; "
+                "narrow_dtypes requires ids below 2**31"
+            )
+        liked = [profile.liked_live() for profile in map(self._table.lookup(), users)]
+        cols = self.vocab.intern_columns(list(chain.from_iterable(liked)))
+        # Stable sort by column as two radix passes over 16-bit halves:
+        # numpy radix-sorts 16-bit keys, several times faster than its
+        # 64-bit merge sort.
+        order = np.lexsort(
+            ((cols & 0xFFFF).astype(np.uint16), (cols >> 16).astype(np.uint16))
+        )
+        likers = np.repeat(
+            np.asarray(users, dtype=self._dtype), list(map(len, liked))
+        )[order]
+        per_col = np.bincount(cols, minlength=len(self.vocab)).tolist()
+        del liked, cols, order
+        ends = list(accumulate(per_col))
+        self._postings = [
+            likers[end - length : end] for end, length in zip(ends, per_col)
+        ]
+        self._post_len = per_col
         self._postings_dirty = False
+        if self._events is not None:
+            self._events.record(
+                "postings_rebuild",
+                duration_ms=round((time.perf_counter() - started) * 1e3, 3),
+                likes=likers.size,
+                columns=len(per_col),
+            )
 
     def posting(self, item: int) -> np.ndarray:
         """Users currently liking ``item`` (unordered; a live view)."""

@@ -191,8 +191,8 @@ class VectorizedWidget:
             job.metric, inter, float(user_cols.size), sizes
         )
         order = rank_descending(scores)[: job.k]
-        neighbor_tokens = [job.candidate_tokens[i] for i in order]
-        neighbor_scores = [float(scores[i]) for i in order]
+        neighbor_tokens = [job.candidate_tokens[i] for i in order.tolist()]
+        neighbor_scores = scores[order].tolist()
 
         # Materialize the rated row *before* sizing the popularity
         # array: on a matrix attached to a pre-populated table this is
@@ -227,12 +227,18 @@ class VectorizedWidget:
         """
         if rated_cols.size:
             popularity[rated_cols] = 0
-        nonzero = np.nonzero(popularity)[0]
-        if nonzero.size == 0:
+        # Only counts at or above the r-th best can reach the top r:
+        # find that floor over the whole vocabulary first, so the item
+        # ids and counts handed on are a handful, not every column a
+        # candidate touched.
+        floor = 1
+        if 0 < r < popularity.size:
+            cut = popularity.size - r
+            floor = max(floor, int(np.partition(popularity, cut)[cut]))
+        top = np.nonzero(popularity >= floor)[0]
+        if top.size == 0:
             return []
-        return select_top_items(
-            matrix.item_array()[nonzero], popularity[nonzero], r
-        )
+        return select_top_items(matrix.item_array()[top], popularity[top], r)
 
     # --- device-time estimation ----------------------------------------------
 

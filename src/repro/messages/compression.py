@@ -31,57 +31,103 @@ def deflate_segment(raw: bytes, level: int = 1) -> bytes:
 class FragmentGzipWriter:
     """Build one gzip member from literals and pre-deflated segments.
 
-    ``write()`` compresses fresh bytes (request-specific envelope:
-    braces, tokens, counters); ``write_deflated()`` splices in a
-    cached :func:`deflate_segment` without touching zlib.  ``finish()``
-    terminates the deflate stream and appends the gzip CRC32/ISIZE
-    trailer computed over the logical (uncompressed) payload.
+    ``write()`` buffers fresh bytes (request-specific envelope: braces,
+    tokens, counters); ``write_deflated()`` splices in a cached
+    :func:`deflate_segment` without touching zlib.  Everything written
+    between two splices is one *run*: it is joined and deflated in a
+    single ``compress`` + ``Z_FULL_FLUSH`` when the next splice (or
+    :meth:`flush_run`) arrives -- zlib's output does not depend on how
+    its input was chunked, so the member is byte-identical to feeding
+    the pieces one at a time.  ``finish()`` terminates the deflate
+    stream and appends the gzip CRC32/ISIZE trailer computed over the
+    logical (uncompressed) payload.
+
+    With ``keep_body=False`` the writer only *weighs* the member: no
+    part list, no CRC, no final join -- :attr:`raw_size` and
+    :attr:`wire_size` are exactly those of the body it would have
+    built.  This is what meters an in-process request, which never
+    reads the body.
     """
 
-    def __init__(self, level: int = 1) -> None:
-        self._parts: list[bytes] = [GZIP_HEADER]
+    def __init__(self, level: int = 1, *, keep_body: bool = True) -> None:
+        self._parts: list[bytes] | None = [GZIP_HEADER] if keep_body else None
+        self._run: list[bytes] = []
         self._crc = 0
-        self._size = 0
+        self._raw = 0
+        self._wire = len(GZIP_HEADER) + 8  # + CRC32/ISIZE trailer
         self._compressor = zlib.compressobj(level, zlib.DEFLATED, -15)
         self._finished = False
 
     @property
     def raw_size(self) -> int:
         """Uncompressed bytes written so far."""
-        return self._size
+        return self._raw + sum(map(len, self._run))
+
+    @property
+    def wire_size(self) -> int:
+        """Size of the complete gzip member; final once finished."""
+        return self._wire
 
     def write(self, raw: bytes) -> None:
-        """Compress ``raw`` into the stream now."""
+        """Add ``raw`` to the pending run."""
         if self._finished:
             raise RuntimeError("writer already finished")
-        self._parts.append(self._compressor.compress(raw))
-        self._crc = zlib.crc32(raw, self._crc)
-        self._size += len(raw)
+        self._run.append(raw)
+
+    def flush_run(self) -> bytes:
+        """Deflate the pending run now; returns its full-flushed bytes.
+
+        ``Z_FULL_FLUSH`` aligns the stream to a byte boundary *and*
+        resets the compressor's dictionary, so what is returned is a
+        pure function of the run's bytes: a caller may keep it and
+        :meth:`write_deflated` it in place of the same run later, in
+        this member or any other of the same level.
+        """
+        if self._finished:
+            raise RuntimeError("writer already finished")
+        if not self._run:
+            return b""
+        return self._deflate_run(zlib.Z_FULL_FLUSH)
+
+    def _deflate_run(self, mode: int) -> bytes:
+        raw = b"".join(self._run)
+        self._run.clear()
+        compressor = self._compressor
+        deflated = compressor.compress(raw) + compressor.flush(mode)
+        self._append(deflated, raw)
+        return deflated
+
+    def _append(self, deflated: bytes, raw: bytes) -> None:
+        self._raw += len(raw)
+        self._wire += len(deflated)
+        if self._parts is not None:
+            self._parts.append(deflated)
+            self._crc = zlib.crc32(raw, self._crc)
 
     def write_deflated(self, segment: bytes, raw: bytes) -> None:
         """Splice a cached segment; ``raw`` is its uncompressed form.
 
-        The pending literal block is flushed with ``Z_FULL_FLUSH``
-        first: that both aligns the stream to a byte boundary *and*
-        resets the envelope compressor's dictionary, so no later
-        back-reference can reach across the spliced content (whose
-        length the compressor never sees).
+        The pending run is flushed with ``Z_FULL_FLUSH`` first, so no
+        later back-reference can reach across the spliced content
+        (whose length the compressor never sees).
         """
         if self._finished:
             raise RuntimeError("writer already finished")
-        self._parts.append(self._compressor.flush(zlib.Z_FULL_FLUSH))
-        self._parts.append(segment)
-        self._crc = zlib.crc32(raw, self._crc)
-        self._size += len(raw)
+        if self._run:
+            self._deflate_run(zlib.Z_FULL_FLUSH)
+        self._append(segment, raw)
 
-    def finish(self) -> bytes:
-        """Terminate the member; returns the complete gzip bytes."""
+    def finish(self) -> bytes | None:
+        """Terminate the member; returns the complete gzip bytes
+        (``None`` from a writer that keeps no body)."""
         if self._finished:
             raise RuntimeError("writer already finished")
+        self._deflate_run(zlib.Z_FINISH)
         self._finished = True
-        self._parts.append(self._compressor.flush(zlib.Z_FINISH))
+        if self._parts is None:
+            return None
         self._parts.append(
-            struct.pack("<II", self._crc & 0xFFFFFFFF, self._size & 0xFFFFFFFF)
+            struct.pack("<II", self._crc & 0xFFFFFFFF, self._raw & 0xFFFFFFFF)
         )
         return b"".join(self._parts)
 

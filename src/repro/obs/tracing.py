@@ -260,7 +260,10 @@ class Tracer:
 
     def activate(self, span: Span | _NullSpan):
         """Context manager making ``span`` the implicit parent, without
-        finishing it on exit (unlike entering the span itself)."""
+        finishing it on exit (unlike entering the span itself).  A null
+        span activates to itself: nothing to push, nothing to allocate."""
+        if not isinstance(span, Span):
+            return span
         return _Activation(self, span)
 
     def add(
@@ -350,20 +353,15 @@ class Tracer:
 
 
 class _Activation:
-    __slots__ = ("_tracer", "_span", "_live")
+    __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: Tracer, span: Span | _NullSpan) -> None:
+    def __init__(self, tracer: Tracer, span: Span) -> None:
         self._tracer = tracer
         self._span = span
-        self._live = False
 
-    def __enter__(self) -> Span | _NullSpan:
-        if isinstance(self._span, Span):
-            self._tracer._push(self._span.ctx)
-            self._live = True
+    def __enter__(self) -> Span:
+        self._tracer._push(self._span.ctx)
         return self._span
 
     def __exit__(self, *exc_info: object) -> None:
-        if self._live:
-            self._tracer._pop()
-            self._live = False
+        self._tracer._pop()

@@ -213,6 +213,157 @@ class TestLikedMatrix:
         assert set(matrix.posting(11).tolist()) == {1}
 
 
+def _reference_gather(matrix: LikedMatrix, ids: list[int]):
+    """Row by row: the CSR triple ``gather_liked`` must reproduce."""
+    rows = [matrix.liked_row(uid).copy() for uid in ids]
+    sizes = np.array([row.size for row in rows], dtype=np.int64)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return indices, indptr, sizes
+
+
+def _assert_same_csr(got, expected):
+    for got_part, expected_part in zip(got, expected):
+        assert got_part.dtype == expected_part.dtype
+        assert got_part.tolist() == expected_part.tolist()
+
+
+class TestBatchedGather:
+    """``gather_liked`` collects offsets in bulk; rows must not notice."""
+
+    def _populated(self, users: int = 12, **matrix_args):
+        rng = random.Random(17)
+        table = ProfileTable()
+        for user in range(users):
+            for item in rng.sample(range(80), rng.randrange(0, 14)):
+                table.record(user, item, 1.0 if rng.random() < 0.8 else 0.0)
+            table.get_or_create(user)
+        return table, LikedMatrix(table, **matrix_args)
+
+    def test_cold_row_in_the_middle_of_the_list(self):
+        table, matrix = self._populated()
+        twin = LikedMatrix(table, vocab=matrix.vocab)  # same columns
+        ids = [4, 9, 2, 7, 11]
+        for uid in (4, 9, 7, 11):  # 2 stays cold until the gather
+            matrix.liked_row(uid)
+        assert 2 not in matrix._start
+        _assert_same_csr(matrix.gather_liked(ids), _reference_gather(twin, ids))
+        assert matrix.liked_sizes(ids).tolist() == matrix.gather_liked(ids)[2].tolist()
+
+    def test_empty_list_and_single_id(self):
+        table, matrix = self._populated()
+        twin = LikedMatrix(table, vocab=matrix.vocab)  # same columns
+        indices, indptr, sizes = matrix.gather_liked([])
+        assert (indices.size, indptr.tolist(), sizes.size) == (0, [0], 0)
+        assert matrix.liked_sizes([]).size == 0
+        for ids in ([5], (5,), [3, 3]):
+            _assert_same_csr(
+                matrix.gather_liked(ids), _reference_gather(twin, list(ids))
+            )
+
+    def test_compaction_in_the_middle_of_a_gather(self):
+        # A tiny arena: materializing the cold tail of the list has to
+        # compact, which moves the rows whose offsets were read first.
+        table, matrix = self._populated(users=30, initial_capacity=16)
+        twin = LikedMatrix(table, vocab=matrix.vocab)  # same columns
+        warm = [0, 1, 2]
+        for uid in warm:
+            matrix.liked_row(uid)
+        compactions = matrix.compactions
+        ids = warm + list(range(3, 30))
+        got = matrix.gather_liked(ids)
+        assert matrix.compactions > compactions
+        _assert_same_csr(got, _reference_gather(twin, ids))
+
+    def test_unknown_user_still_raises_key_error(self):
+        _, matrix = self._populated()
+        with pytest.raises(KeyError):
+            matrix.gather_liked([1, 404])
+        with pytest.raises(KeyError):
+            matrix.liked_sizes([404])
+
+
+def _reference_postings(table: ProfileTable, matrix: LikedMatrix, owns=None):
+    """Like by like, in table order: what ``_rebuild_postings`` replaced."""
+    postings: dict[int, list[int]] = {}
+    for user in table:
+        if owns is not None and not owns(user):
+            continue
+        for item in table.get(user).liked_items():
+            postings.setdefault(item, []).append(user)
+    return postings
+
+
+class TestVectorizedPostingsRebuild:
+    def _table(self) -> ProfileTable:
+        rng = random.Random(23)
+        table = ProfileTable()
+        for step in range(1500):
+            user = rng.randrange(60)
+            item = rng.randrange(90)
+            # Re-ratings flip opinions: plenty of un-likes in the stream.
+            table.record(user, item, 1.0 if rng.random() < 0.65 else 0.0)
+        table.get_or_create(777)  # a user without a single rating
+        return table
+
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize("owns", [None, lambda uid: uid % 3 == 1])
+    def test_matches_per_like_reference(self, narrow, owns):
+        from repro.engine.liked_matrix import MemoryPolicy
+
+        table = self._table()
+        matrix = LikedMatrix(
+            table,
+            row_filter=owns,
+            memory=MemoryPolicy(narrow_dtypes=True) if narrow else None,
+        )
+        reference = _reference_postings(table, matrix, owns)
+        for item in range(90):
+            posting = matrix.posting(item)
+            if posting.size:
+                assert posting.dtype == (np.int32 if narrow else np.int64)
+            # Same users in the same (table) order as appending would give.
+            assert posting.tolist() == reference.get(item, [])
+
+    def test_rebuilt_postings_keep_absorbing_writes(self):
+        table = self._table()
+        matrix = LikedMatrix(table)
+        matrix.posting(0)  # rebuild: every list is now a full view
+        for user, item, value in [(5, 0, 1.0), (901, 0, 1.0), (5, 0, 0.0), (902, 89, 1.0)]:
+            table.record(user, item, value)
+        reference = _reference_postings(table, matrix)
+        for item in range(90):
+            assert sorted(matrix.posting(item).tolist()) == sorted(
+                reference.get(item, [])
+            )
+
+    def test_narrow_rebuild_rejects_wide_user_ids(self):
+        from repro.engine.liked_matrix import MemoryPolicy
+
+        table = ProfileTable()
+        table.record(2**31, 1, 1.0)
+        matrix = LikedMatrix(
+            table, subscribe=False, memory=MemoryPolicy(narrow_dtypes=True)
+        )
+        with pytest.raises(ValueError, match="int32"):
+            matrix.posting(1)
+
+    def test_rebuild_is_an_event_with_a_duration(self):
+        from repro.obs.events import EventLog
+
+        events = EventLog()
+        matrix = LikedMatrix(self._table(), events=events)
+        assert events.records("postings_rebuild") == []
+        matrix.posting(0)
+        matrix.posting(1)  # clean: no second rebuild
+        (event,) = events.records("postings_rebuild")
+        assert float(event.get("duration_ms")) >= 0.0
+        assert int(event.get("likes")) == sum(
+            matrix.posting(item).size for item in range(90)
+        )
+
+
 class TestMetricRegistryUnchanged:
     def test_builtin_names_still_resolve(self):
         for name in ("cosine", "jaccard", "overlap"):

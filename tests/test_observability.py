@@ -229,6 +229,53 @@ class TestServerStatsReset:
             assert "hyrec_online_requests_total 30" in text
 
 
+# --- request stages on the default engine -----------------------------------
+
+
+class TestRequestStageSpans:
+    """``sample``/``render``/``score``/``respond`` from the program itself."""
+
+    STAGES = ["sample", "render", "score", "respond"]
+
+    @pytest.mark.parametrize("engine", ["vectorized", "python"])
+    def test_every_request_has_one_span_per_stage(self, engine):
+        system = HyRecSystem(HyRecConfig(engine=engine, tracing=True), seed=7)
+        system.replay(_random_trace(31, n=60))
+        tracer = system.server.obs.tracer
+        tracer.reset()
+        system.request(3, now=1e6)
+        (spans,) = tracer.traces().values()
+        (root,) = [span for span in spans if span.name == "request"]
+        children = [span for span in spans if span is not root]
+        assert [span.name for span in children] == self.STAGES  # finish order
+        assert all(span.parent_id == root.span_id for span in children)
+        # The stages are the request: consecutive, inside the root.
+        assert sum(span.dur_us for span in children) <= root.dur_us
+        for before, after in zip(children, children[1:]):
+            assert before.start_us + before.dur_us <= after.start_us + 1
+
+    def test_batch_members_get_their_own_stage_spans(self):
+        system = HyRecSystem(HyRecConfig(tracing=True), seed=7)
+        system.replay(_random_trace(32, n=60))
+        tracer = system.server.obs.tracer
+        tracer.reset()
+        system.request_batch([1, 2, 3], now=1e6)
+        traces = tracer.traces()
+        assert len(traces) == 3
+        for spans in traces.values():
+            (root,) = [span for span in spans if span.name == "request"]
+            staged = sorted(
+                span.name for span in spans if span.parent_id == root.span_id
+            )
+            assert staged == sorted(self.STAGES)
+
+    def test_tracing_off_records_nothing(self):
+        system = HyRecSystem(HyRecConfig(), seed=7)
+        system.replay(_random_trace(33, n=30))
+        system.request_batch([1, 2], now=1e6)
+        assert system.server.obs.tracer.spans == []
+
+
 # --- cross-process trace propagation ----------------------------------------
 
 
@@ -396,6 +443,19 @@ class TestEvents:
             events = system.server.obs.events
             assert events.counts().get("slow_request") == 5
             assert system.server.obs.tracer.spans == []
+
+
+    def test_cold_postings_rebuild_lands_in_the_event_log(self):
+        # The one slow request after a bulk load must be explainable
+        # from the log alone: the default engine's matrix reports there.
+        with HyRecSystem(HyRecConfig(engine="vectorized"), seed=5) as system:
+            system.replay(_random_trace(54, n=40))
+            events = system.server.obs.events
+            assert events.counts().get("postings_rebuild") is None
+            item = next(iter(system.server.profiles.get(0)))
+            system.server.liked_matrix.posting(item)
+            (record,) = events.records("postings_rebuild")
+            assert float(record.get("duration_ms")) >= 0.0
 
 
 # --- exposition --------------------------------------------------------------
