@@ -28,9 +28,9 @@ Three scenarios:
    of completions, latency measured from the scheduled send time --
    the arrival process that actually overloads servers.
 
-3. **Shed**: a deliberately tiny admission bound
-   (``http_max_concurrency=1``, ``http_max_pending=0``) hammered by 8
-   closed-loop workers; asserts the front door sheds with ``503``
+3. **Shed**: the tightest admission bound (``http_max_pending=0``:
+   whatever arrives while the engine lane is busy is shed) hammered
+   by 8 closed-loop workers; asserts the front door sheds with ``503``
    rather than queueing unboundedly, and that the server's shed
    counter matches the client's count of 503s exactly.
 
@@ -209,7 +209,7 @@ def run_shed_scenario(args: argparse.Namespace, requests: int) -> dict:
         args.shards,
         args.executor,
     )
-    front = AsyncHyRecServer(server, max_concurrency=1, max_pending=0)
+    front = AsyncHyRecServer(server, max_pending=0)
     try:
         front.start()
         driver = HttpLoadDriver(front.url, list(range(args.users)))
@@ -224,7 +224,6 @@ def run_shed_scenario(args: argparse.Namespace, requests: int) -> dict:
         f"{stats['shed_requests']} vs {result.shed}"
     )
     return {
-        "max_concurrency": 1,
         "max_pending": 0,
         "concurrency": 8,
         "requests": result.requests,

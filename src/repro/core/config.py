@@ -149,15 +149,12 @@ class HyRecConfig:
         cache_capacity: HTTP front door only: maximum entries in the
             in-process L1 response cache; least-recently-used entries
             are evicted beyond it.
-        http_max_concurrency: HTTP front door only: personalization
-            requests executing on the engine simultaneously (the size
-            of the front door's worker pool).  Cache hits and the
-            health endpoints (``/stats/``, ``/metrics``) do not
-            consume a slot.
         http_max_pending: HTTP front door only: admitted requests that
-            may wait for an execution slot before the front door sheds
-            new work with ``503`` + ``Retry-After`` (``0`` sheds as
-            soon as every slot is busy).
+            may wait behind the one executing on the engine lane
+            before the front door sheds new work with ``503`` +
+            ``Retry-After`` (``0`` sheds as soon as the lane is busy).
+            Cache hits and the health endpoints (``/stats/``,
+            ``/metrics``) are never admitted, so never shed.
         http_retry_after: HTTP front door only: whole seconds clients
             are told to back off in the ``Retry-After`` header of a
             shed response.
@@ -215,7 +212,6 @@ class HyRecConfig:
     slow_request_ms: float = 0.0
     cache_ttl: float = 0.0
     cache_capacity: int = 1024
-    http_max_concurrency: int = 8
     http_max_pending: int = 64
     http_retry_after: int = 1
     evict_max_rows: int = 0
@@ -339,11 +335,6 @@ class HyRecConfig:
         if self.cache_capacity < 1:
             raise ValueError(
                 f"cache_capacity must be at least 1, got {self.cache_capacity}"
-            )
-        if self.http_max_concurrency < 1:
-            raise ValueError(
-                "http_max_concurrency must be at least 1, got "
-                f"{self.http_max_concurrency}"
             )
         if self.http_max_pending < 0:
             raise ValueError(

@@ -101,12 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-capacity", type=int, default=1024, help="max cached responses"
     )
     parser.add_argument(
-        "--max-concurrency",
-        type=int,
-        default=8,
-        help="concurrent engine requests (async front door)",
-    )
-    parser.add_argument(
         "--max-pending",
         type=int,
         default=64,
@@ -139,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         slow_request_ms=args.slow_request_ms,
         cache_ttl=args.cache_ttl,
         cache_capacity=args.cache_capacity,
-        http_max_concurrency=args.max_concurrency,
         http_max_pending=args.max_pending,
         http_retry_after=args.retry_after,
     )

@@ -2,8 +2,8 @@
 
 This is the production path in front of a :class:`HyRecServer` (any
 engine, including the sharded/process cluster): a single-threaded
-asyncio accept/parse/respond loop, a bounded admission queue feeding a
-small engine worker pool, and the per-user L1 response cache of
+asyncio accept/parse/respond loop, a bounded admission queue feeding
+one engine lane, and the per-user L1 response cache of
 :mod:`repro.web.cache`.  The threaded
 :class:`~repro.web.server.HyRecHttpServer` stays as the zero-moving-
 parts demo deployment; both mount the same :class:`~repro.core.api.
@@ -15,12 +15,18 @@ Request flow::
     socket ── parse ──▶│ /online  cache hit? ──────────────▶ respond │
                        │    │ miss                                   │
                        │    ▼                                        │
-                       │ admission (≤ http_max_pending waiting) ─┐   │
-                       │    │ full: 503 + Retry-After (shed)     │   │
+                       │ admission (1 executing + ≤ http_max_pending)│
+                       │    │ full: 503 + Retry-After (shed)     ▲   │
                        └────┼────────────────────────────────────┼───┘
-                            ▼                                    │
-                 engine pool (http_max_concurrency threads)      │
-                 render via WebApi → cache.put → respond ────────┘
+                            ▼ queue                call_soon_threadsafe
+                 engine lane (one thread, FIFO)                  │
+                 render via WebApi → cache.put ──────────────────┘
+
+One lane, not a pool: over HTTP the server only samples, renders and
+applies KNN updates (scoring is the browser's job) -- Python under the
+interpreter lock, in a :class:`HyRecServer` not written to be entered
+twice.  A second lane only made each render wait for the lock the
+first one held (measurements in ``docs/http.md``).
 
 Contracts the test suite pins down:
 
@@ -37,9 +43,9 @@ Contracts the test suite pins down:
 * **Health bypass.** ``/stats/`` and ``/metrics`` never enter the
   admission queue and are never cached (the threaded server behaves
   the same way, implicitly); they run on a dedicated thread so a
-  saturated engine pool cannot starve them.
+  busy engine lane cannot starve them.
 * **Graceful drain.** :meth:`AsyncHyRecServer.stop` stops accepting,
-  lets every in-flight request finish, then closes idle keep-alive
+  lets every admitted request finish, then closes idle keep-alive
   connections -- zero in-flight requests dropped.
 """
 
@@ -47,15 +53,19 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import parse_qsl, urlparse
+from functools import partial
+from time import perf_counter
+from typing import Callable
+from urllib.parse import parse_qsl
 
 from repro.core.api import WebApi
 from repro.core.server import HyRecServer
 from repro.messages import encode_json
 from repro.obs.exposition import metrics_text
-from repro.obs.registry import MetricSample
+from repro.obs.registry import MetricSample, log_buckets
 from repro.web.cache import ResponseCache
 
 logger = logging.getLogger("repro.web")
@@ -67,6 +77,12 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+_TEXT = "text/plain; charset=utf-8"
+_JSON = "application/json"
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+#: 50 us .. ~1.6 s, doubling: an idle lane picks work up in tens of
+#: microseconds, a full queue holds it for ``http_max_pending`` renders.
+_ADMIT_WAIT_BUCKETS = log_buckets(0.00005, 2.0, 16)
 
 
 class AsyncHyRecServer:
@@ -76,9 +92,8 @@ class AsyncHyRecServer:
     a live :class:`HyRecServer`, :meth:`start` (binds and serves on a
     background event-loop thread, returns the port), :meth:`stop`
     (graceful drain).  Admission and cache knobs default to the server
-    config (``http_max_concurrency``, ``http_max_pending``,
-    ``http_retry_after``, ``cache_ttl``, ``cache_capacity``); keyword
-    overrides exist for tests and sweeps.
+    config (``http_max_pending``, ``http_retry_after``, ``cache_ttl``,
+    ``cache_capacity``); keyword overrides exist for tests and sweeps.
     """
 
     def __init__(
@@ -87,7 +102,6 @@ class AsyncHyRecServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_concurrency: int | None = None,
         max_pending: int | None = None,
         retry_after: int | None = None,
         cache_ttl: float | None = None,
@@ -99,19 +113,12 @@ class AsyncHyRecServer:
         self.api = WebApi(server)
         self._host = host
         self._port = port
-        self.max_concurrency = (
-            config.http_max_concurrency
-            if max_concurrency is None
-            else max_concurrency
-        )
         self.max_pending = (
             config.http_max_pending if max_pending is None else max_pending
         )
         self.retry_after = (
             config.http_retry_after if retry_after is None else retry_after
         )
-        if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be at least 1")
         if self.max_pending < 0:
             raise ValueError("max_pending cannot be negative")
         self.drain_timeout = drain_timeout
@@ -123,13 +130,13 @@ class AsyncHyRecServer:
             ),
             ttl=config.cache_ttl if cache_ttl is None else cache_ttl,
         )
-        # Engine pool sized to the concurrency limit -- the semaphore
-        # already guarantees at most that many engine calls in flight.
-        self._engine_pool = ThreadPoolExecutor(
-            max_workers=self.max_concurrency, thread_name_prefix="hyrec-engine"
-        )
-        # Health endpoints get their own lane so a saturated engine
-        # pool can never starve /stats//metrics (the bypass contract).
+        # The engine lane: every WebApi call of the front door runs on
+        # this one thread, in admission order.
+        self._lane: threading.Thread | None = None
+        self._lane_queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._busy_seconds = 0.0  # written by the lane only
+        # Health endpoints get their own thread so a busy engine lane
+        # can never starve /stats//metrics (the bypass contract).
         self._health_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="hyrec-health"
         )
@@ -141,20 +148,22 @@ class AsyncHyRecServer:
         self._address: tuple[str, int] | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         # Admission state; touched only on the event-loop thread.
-        self._sem: asyncio.Semaphore | None = None
-        self._waiting = 0
-        self._executing = 0
+        # Engine calls handed to the lane and not yet answered: the
+        # lane is FIFO, so one of them is executing, the rest wait.
+        self._admitted = 0
         self._active_requests = 0
         self._closing = False
         # Source-of-truth front-door counters (ints under the GIL;
         # /stats and the metrics collector read them).
         self._shed = 0
         self._served: dict[tuple[str, int], int] = {}
-        obs = server.obs
-        self._latency = obs.registry.histogram(
-            "hyrec_http_request_latency_seconds"
+        self._heads: dict[tuple[int, str, bool, str], bytes] = {}
+        registry = server.obs.registry
+        self._latency = registry.histogram("hyrec_http_request_latency_seconds")
+        self._admit_wait = registry.histogram(
+            "hyrec_http_admit_wait_seconds", buckets=_ADMIT_WAIT_BUCKETS
         )
-        obs.registry.add_collector(self._collect_metrics)
+        registry.add_collector(self._collect_metrics)
         # Write-driven invalidation: every profile/KNN write for a user
         # evicts her cached response, whatever the TTL.
         server.add_user_write_listener(self.cache.invalidate)
@@ -202,7 +211,12 @@ class AsyncHyRecServer:
                 loop.call_soon_threadsafe(stop_event.set)
             self._thread.join(timeout=self.drain_timeout + 5)
             self._thread = None
-        self._engine_pool.shutdown(wait=False)
+        if self._lane is not None:
+            # Queued behind everything admitted: the lane answers all
+            # of it before it sees the sentinel.
+            self._lane_queue.put(None)
+            self._lane.join(timeout=5)
+            self._lane = None
         self._health_pool.shutdown(wait=False)
         self.hyrec.remove_user_write_listener(self.cache.invalidate)
         self.hyrec.obs.registry.remove_collector(self._collect_metrics)
@@ -230,8 +244,8 @@ class AsyncHyRecServer:
             loop.close()
 
     async def _serve(self) -> None:
+        loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._sem = asyncio.Semaphore(self.max_concurrency)
         try:
             server = await asyncio.start_server(
                 self._handle_connection, self._host, self._port
@@ -240,8 +254,11 @@ class AsyncHyRecServer:
             self._startup_error = error
             self._started.set()
             return
-        sock = server.sockets[0].getsockname()
-        self._address = (sock[0], sock[1])
+        self._lane = threading.Thread(
+            target=self._run_lane, name="hyrec-engine", daemon=True
+        )
+        self._lane.start()
+        self._address = server.sockets[0].getsockname()[:2]
         self._started.set()
         await self._stop_event.wait()
         # Graceful drain: no new connections, in-flight requests run
@@ -249,11 +266,9 @@ class AsyncHyRecServer:
         self._closing = True
         server.close()
         await server.wait_closed()
-        deadline = (
-            asyncio.get_running_loop().time() + self.drain_timeout
-        )
+        deadline = loop.time() + self.drain_timeout
         while self._active_requests > 0:
-            if asyncio.get_running_loop().time() >= deadline:
+            if loop.time() >= deadline:
                 logger.warning(
                     "drain timeout with %d requests in flight",
                     self._active_requests,
@@ -262,6 +277,35 @@ class AsyncHyRecServer:
             await asyncio.sleep(0.005)
         for writer in list(self._writers):
             writer.close()
+
+    # --- the engine lane ----------------------------------------------------------
+
+    def _run_lane(self) -> None:
+        """Answer admitted engine calls one at a time, in order."""
+        deliver = self._loop.call_soon_threadsafe
+        while (item := self._lane_queue.get()) is not None:
+            future, call, admitted_at = item
+            picked_up = perf_counter()
+            self._admit_wait.observe(picked_up - admitted_at)
+            result = error = None
+            try:
+                result = call()
+            except Exception as caught:  # answered as 400/500 by _dispatch
+                error = caught
+            self._busy_seconds += perf_counter() - picked_up
+            try:
+                deliver(self._deliver, future, result, error)
+            except RuntimeError:  # loop closed: the drain timed out
+                return
+
+    def _deliver(
+        self, future: asyncio.Future, result: bytes, error: Exception | None
+    ) -> None:
+        self._admitted -= 1
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
 
     # --- connection handling ----------------------------------------------------
 
@@ -272,37 +316,26 @@ class AsyncHyRecServer:
         try:
             while True:
                 try:
-                    request_line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
+                    request = await self._read_request(reader)
+                except ValueError as error:
+                    reason = f"bad request: {error}".encode()
+                    writer.write(
+                        self._finish(
+                            "/", 400, perf_counter(), reason, extra="Connection: close"
+                        )
+                    )
+                    await writer.drain()
                     break
-                if not request_line:
+                if request is None:
                     break
-                parts = request_line.split()
-                if len(parts) != 3:
-                    break
-                method = parts[0].decode("latin1")
-                target = parts[1].decode("latin1")
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, value = line.decode("latin1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                body = b""
-                length = int(headers.get("content-length", "0") or "0")
-                if length:
-                    body = await reader.readexactly(length)
+                method, target, close, body = request
                 self._active_requests += 1
                 try:
-                    response = await self._dispatch(method, target, body)
-                    writer.write(response)
+                    writer.write(await self._dispatch(method, target, body))
                     await writer.drain()
                 finally:
                     self._active_requests -= 1
-                if headers.get("connection", "").lower() == "close":
-                    break
-                if self._closing:
+                if close or self._closing:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -310,36 +343,63 @@ class AsyncHyRecServer:
             self._writers.discard(writer)
             writer.close()
 
+    @staticmethod
+    async def _read_request(
+        reader: asyncio.StreamReader,
+    ) -> tuple[str, str, bool, bytes] | None:
+        """``(method, target, close, body)`` of the next request, or
+        ``None`` at a clean end of stream; ``ValueError`` if malformed."""
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if not error.partial:
+                return None
+            raise ValueError("truncated request head") from None
+        except asyncio.LimitOverrunError:
+            raise ValueError("request head too large") from None
+        request_line, *lines = head[:-4].decode("latin1").split("\r\n")
+        parts = request_line.split()
+        if len(parts) != 3:
+            raise ValueError("malformed request line")
+        headers: dict[str, str] = {}
+        for line in lines:
+            key, _, value = line.partition(":")
+            headers[key.strip().lower()] = value.strip()
+        length = int(headers.get("content-length") or 0)
+        if length < 0:
+            raise ValueError("negative Content-Length")
+        body = await reader.readexactly(length) if length else b""
+        close = headers.get("connection", "").lower() == "close"
+        return parts[0], parts[1], close, body
+
     # --- dispatch --------------------------------------------------------------
 
     async def _dispatch(self, method: str, target: str, body: bytes) -> bytes:
-        loop = asyncio.get_running_loop()
-        parsed = urlparse(target)
-        path = parsed.path.rstrip("/")
-        params = dict(parse_qsl(parsed.query))
-        start = loop.time()
+        start = perf_counter()
+        path, _, query = target.partition("?")
+        path = path.rstrip("/")
         try:
+            if path == "/online" and method == "GET":
+                return await self._online(int(dict(parse_qsl(query))["uid"]), start)
+            if path == "/neighbors" and method in ("GET", "POST"):
+                params = dict(parse_qsl(query))
+                uid = int(params.pop("uid"))
+                if method == "POST":
+                    call = partial(self.api.neighbors_from_body, uid, body)
+                else:
+                    call = partial(self.api.neighbors, uid, params)
+                return await self._engine("/neighbors", start, call)
             if path == "/stats" and method == "GET":
-                payload = await loop.run_in_executor(
+                payload = await self._loop.run_in_executor(
                     self._health_pool, self._stats_body
                 )
-                return self._finish("/stats", 200, start, payload, "application/json")
+                return self._finish("/stats", 200, start, payload, _JSON)
             if path == "/metrics" and method == "GET":
-                payload = await loop.run_in_executor(
+                payload = await self._loop.run_in_executor(
                     self._health_pool,
                     lambda: metrics_text(self.hyrec).encode("utf-8"),
                 )
-                return self._finish(
-                    "/metrics",
-                    200,
-                    start,
-                    payload,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            if path == "/online" and method == "GET":
-                return await self._online(loop, params, start)
-            if path == "/neighbors" and method in ("GET", "POST"):
-                return await self._neighbors(loop, method, params, body, start)
+                return self._finish("/metrics", 200, start, payload, _PROMETHEUS)
             return self._finish(path or "/", 404, start, b"unknown endpoint")
         except (KeyError, ValueError) as error:
             return self._finish(
@@ -349,106 +409,48 @@ class AsyncHyRecServer:
             logger.exception("request failed: %s %s", method, target)
             return self._finish(path or "/", 500, start, b"internal error")
 
-    async def _online(self, loop, params: dict[str, str], start: float) -> bytes:
-        uid = int(params["uid"])
-        extra = []
+    async def _online(self, uid: int, start: float) -> bytes:
+        x_cache = ""
         if self.cache.enabled:
             cached = self.cache.get(uid)
             if cached is not None:
                 return self._finish(
-                    "/online",
-                    200,
-                    start,
-                    cached,
-                    "application/json",
-                    extra=[("X-Cache", "hit")],
-                    compressed=self.api.compress,
+                    "/online", 200, start, cached, _JSON, "X-Cache: hit",
+                    self.api.compress,
                 )
-            extra = [("X-Cache", "miss")]
-        admitted = await self._admit()
-        if not admitted:
-            return self._shed_response("/online", start)
-        try:
+            x_cache = "X-Cache: miss"
 
-            def work() -> bytes:
-                # Version read precedes the render: a write landing
-                # mid-render bumps it and the put below is discarded,
-                # so the cache never holds a pre-invalidation response.
-                version = self.cache.version(uid)
-                rendered = self.api.online(uid)
-                self.cache.put(uid, rendered, version)
-                return rendered
+        def work() -> bytes:
+            # Version read precedes the render: a write landing
+            # mid-render bumps it and the put below is discarded,
+            # so the cache never holds a pre-invalidation response.
+            version = self.cache.version(uid)
+            rendered = self.api.online(uid)
+            self.cache.put(uid, rendered, version)
+            return rendered
 
-            payload = await loop.run_in_executor(self._engine_pool, work)
-        finally:
-            self._release()
-        return self._finish(
-            "/online",
-            200,
-            start,
-            payload,
-            "application/json",
-            extra=extra,
-            compressed=self.api.compress,
-        )
-
-    async def _neighbors(
-        self, loop, method: str, params: dict[str, str], body: bytes, start: float
-    ) -> bytes:
-        uid = int(params.pop("uid"))
-        admitted = await self._admit()
-        if not admitted:
-            return self._shed_response("/neighbors", start)
-        try:
-            if method == "POST":
-                payload = await loop.run_in_executor(
-                    self._engine_pool,
-                    lambda: self.api.neighbors_from_body(uid, body),
-                )
-            else:
-                payload = await loop.run_in_executor(
-                    self._engine_pool, lambda: self.api.neighbors(uid, params)
-                )
-        finally:
-            self._release()
-        return self._finish(
-            "/neighbors",
-            200,
-            start,
-            payload,
-            "application/json",
-            compressed=self.api.compress,
-        )
+        return await self._engine("/online", start, work, x_cache)
 
     # --- admission control ------------------------------------------------------
 
-    async def _admit(self) -> bool:
-        """One engine slot, or ``False`` when the queue is full."""
-        assert self._sem is not None
-        if self._sem.locked() and self._waiting >= self.max_pending:
+    async def _engine(
+        self, endpoint: str, start: float, call: Callable[[], bytes], extra: str = ""
+    ) -> bytes:
+        """Answer ``endpoint`` with ``call()`` run on the engine lane,
+        or shed it when one call executes and ``max_pending`` wait."""
+        if self._admitted > self.max_pending:
             self._shed += 1
-            return False
-        self._waiting += 1
-        try:
-            await self._sem.acquire()
-        finally:
-            self._waiting -= 1
-        self._executing += 1
-        return True
-
-    def _release(self) -> None:
-        assert self._sem is not None
-        self._executing -= 1
-        self._sem.release()
-
-    def _shed_response(self, endpoint: str, start: float) -> bytes:
+            overloaded = b'{"error": "server overloaded"}'
+            return self._finish(
+                endpoint, 503, start, overloaded, _JSON,
+                f"Retry-After: {self.retry_after}",
+            )
+        self._admitted += 1
+        future = self._loop.create_future()
+        self._lane_queue.put((future, call, perf_counter()))
+        payload = await future
         return self._finish(
-            endpoint,
-            503,
-            start,
-            b'{"error": "server overloaded"}',
-            "application/json",
-            extra=[("Retry-After", str(self.retry_after))],
+            endpoint, 200, start, payload, _JSON, extra, self.api.compress
         )
 
     # --- responses and telemetry -------------------------------------------------
@@ -459,31 +461,36 @@ class AsyncHyRecServer:
         status: int,
         start: float,
         body: bytes,
-        content_type: str = "text/plain; charset=utf-8",
-        extra: list[tuple[str, str]] | None = None,
+        content_type: str = _TEXT,
+        extra: str = "",
         compressed: bool = False,
     ) -> bytes:
-        """Render one response and book its counters/latency."""
+        """Render one response and book its counters/latency.
+
+        ``extra`` is one more ``Name: value`` header line, if any.
+        """
         key = (endpoint, status)
         self._served[key] = self._served.get(key, 0) + 1
-        self._latency.observe(
-            max(0.0, asyncio.get_running_loop().time() - start)
-        )
-        headers = [("Content-Type", content_type)]
-        if compressed:
-            headers.append(("Content-Encoding", "gzip"))
-        if extra:
-            headers.extend(extra)
-        headers.append(("Content-Length", str(len(body))))
-        reason = _REASONS.get(status, "Unknown")
-        lines = [f"HTTP/1.1 {status} {reason}"]
-        lines.extend(f"{name}: {value}" for name, value in headers)
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin1")
-        return head + body
+        self._latency.observe(max(0.0, perf_counter() - start))
+        shape = (status, content_type, compressed, extra)
+        head = self._heads.get(shape)
+        if head is None:
+            lines = [
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+                f"Content-Type: {content_type}",
+            ]
+            if compressed:
+                lines.append("Content-Encoding: gzip")
+            if extra:
+                lines.append(extra)
+            lines.append("Content-Length: ")
+            head = self._heads[shape] = "\r\n".join(lines).encode("latin1")
+        return b"%b%d\r\n\r\n%b" % (head, len(body), body)
 
     def _stats_body(self) -> bytes:
         server = self.hyrec
         cache = self.cache.stats
+        admitted = self._admitted  # one read: the loop thread writes it
         stats = {
             "users": server.num_users,
             "online_requests": server.stats.online_requests,
@@ -497,8 +504,8 @@ class AsyncHyRecServer:
             "cache_expirations": cache.expirations,
             "cache_size": cache.size,
             "shed_requests": self._shed,
-            "pending": self._waiting,
-            "in_flight": self._executing,
+            "pending": max(0, admitted - 1),
+            "in_flight": min(1, admitted),
         }
         return encode_json(stats)
 
@@ -509,41 +516,32 @@ class AsyncHyRecServer:
         two surfaces can never disagree.
         """
 
-        def counter(name: str, value: float, **labels: object) -> MetricSample:
+        def sample(
+            name: str, value: float, kind: str = "counter", **labels: object
+        ) -> MetricSample:
             label_set = tuple(
                 sorted((key, str(val)) for key, val in labels.items())
             )
             return MetricSample(
-                name=name, kind="counter", labels=label_set, value=float(value)
+                name=name, kind=kind, labels=label_set, value=float(value)
             )
 
         cache = self.cache.stats
+        admitted = self._admitted
         samples = [
-            counter("hyrec_http_shed_total", self._shed),
-            counter("hyrec_http_cache_hits_total", cache.hits),
-            counter("hyrec_http_cache_misses_total", cache.misses),
-            counter("hyrec_http_cache_evictions_total", cache.evictions),
-            counter(
-                "hyrec_http_cache_invalidations_total", cache.invalidations
-            ),
-            MetricSample(
-                name="hyrec_http_pending_requests",
-                kind="gauge",
-                value=float(self._waiting),
-            ),
-            MetricSample(
-                name="hyrec_http_in_flight_requests",
-                kind="gauge",
-                value=float(self._executing),
-            ),
+            sample("hyrec_http_shed_total", self._shed),
+            sample("hyrec_http_cache_hits_total", cache.hits),
+            sample("hyrec_http_cache_misses_total", cache.misses),
+            sample("hyrec_http_cache_evictions_total", cache.evictions),
+            sample("hyrec_http_cache_invalidations_total", cache.invalidations),
+            sample("hyrec_http_engine_busy_seconds_total", self._busy_seconds),
+            sample("hyrec_http_pending_requests", max(0, admitted - 1), "gauge"),
+            sample("hyrec_http_in_flight_requests", min(1, admitted), "gauge"),
         ]
-        for (endpoint, status), count in sorted(self._served.items()):
-            samples.append(
-                counter(
-                    "hyrec_http_requests_total",
-                    count,
-                    endpoint=endpoint,
-                    status=status,
-                )
+        samples += [
+            sample(
+                "hyrec_http_requests_total", count, endpoint=endpoint, status=status
             )
+            for (endpoint, status), count in sorted(self._served.items())
+        ]
         return samples

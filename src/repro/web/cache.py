@@ -73,8 +73,8 @@ class ResponseCache:
     monotone (defaults to :func:`time.monotonic`).
 
     Thread-safe: lookups come from the event loop, stores from the
-    engine worker pool, and invalidations from whichever thread runs
-    the write path.
+    front door's engine lane, and invalidations from whichever thread
+    runs the write path.
     """
 
     def __init__(

@@ -11,12 +11,15 @@ saturation picture it wants before firing the request that must shed.
 from __future__ import annotations
 
 import http.client
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.messages import decode_json
+from repro.core.client import HyRecWidget
+from repro.core.jobs import PersonalizationJob
+from repro.messages import decode_json, encode_json
 from repro.web.async_server import AsyncHyRecServer
 from repro.web.loadtest import fetch_stats
 from repro.web.server import HyRecHttpServer
@@ -95,7 +98,6 @@ class TestShedding:
         with AsyncHyRecServer(
             loaded_server,
             cache_ttl=0.0,
-            max_concurrency=1,
             max_pending=1,
             retry_after=7,
         ) as door:
@@ -126,7 +128,7 @@ class TestShedding:
     def test_shed_counter_matches_observed_rejections(self, loaded_server):
         burst = 8
         with AsyncHyRecServer(
-            loaded_server, cache_ttl=0.0, max_concurrency=1, max_pending=0
+            loaded_server, cache_ttl=0.0, max_pending=0
         ) as door:
             gate = gate_engine(door)
             holder = Client(door.address, "/online/?uid=0")
@@ -152,7 +154,7 @@ class TestShedding:
 
     def test_neighbors_sheds_too(self, loaded_server):
         with AsyncHyRecServer(
-            loaded_server, cache_ttl=0.0, max_concurrency=1, max_pending=0
+            loaded_server, cache_ttl=0.0, max_pending=0
         ) as door:
             gate = gate_engine(door)
             holder = Client(door.address, "/online/?uid=0")
@@ -164,11 +166,36 @@ class TestShedding:
             gate.release()
             holder.join(timeout=10)
 
+    @pytest.mark.parametrize("max_pending", [0, 2, 3])
+    def test_bound_is_one_executing_plus_max_pending(
+        self, loaded_server, max_pending
+    ):
+        with AsyncHyRecServer(
+            loaded_server, cache_ttl=0.0, max_pending=max_pending
+        ) as door:
+            gate = gate_engine(door)
+            admitted = []
+            for waiting in range(max_pending + 1):
+                admitted.append(Client(door.address, f"/online/?uid={waiting % 4}"))
+                wait_for_saturation(door.url, in_flight=1, pending=waiting)
+            extra = [Client(door.address, "/online/?uid=0") for _ in range(2)]
+            for client in extra:
+                client.join(timeout=10)
+            assert [client.status for client in extra] == [503, 503]
+            # One lane: whatever the queue holds, one call is in the engine.
+            assert gate.entered == 1
+
+            gate.release()
+            for client in admitted:
+                client.join(timeout=10)
+            assert [client.status for client in admitted] == [200] * (max_pending + 1)
+            assert fetch_stats(door.url)["shed_requests"] == 2
+
 
 class TestHealthBypass:
     def test_stats_and_metrics_respond_while_saturated(self, loaded_server):
         with AsyncHyRecServer(
-            loaded_server, cache_ttl=0.0, max_concurrency=1, max_pending=1
+            loaded_server, cache_ttl=0.0, max_pending=1
         ) as door:
             gate = gate_engine(door)
             clients = [Client(door.address, f"/online/?uid={i}") for i in (0, 1)]
@@ -189,10 +216,10 @@ class TestHealthBypass:
                 client.join(timeout=10)
                 assert client.status == 200
 
-    def test_cache_hits_bypass_admission(self, loaded_server):
+    def test_cache_hit_and_stats_answer_while_the_lane_is_held(self, loaded_server):
         """A cached user is served even with the engine saturated."""
         with AsyncHyRecServer(
-            loaded_server, cache_ttl=60.0, max_concurrency=1, max_pending=0
+            loaded_server, cache_ttl=60.0, max_pending=0
         ) as door:
             warm = Client(door.address, "/online/?uid=3")
             warm.join(timeout=10)
@@ -207,6 +234,8 @@ class TestHealthBypass:
             assert hit.status == 200
             assert hit.headers["x-cache"] == "hit"
             assert hit.body == warm.body
+            stats = fetch_stats(door.url)
+            assert stats["cache_hits"] == 1 and stats["in_flight"] == 1
 
             missed = Client(door.address, "/online/?uid=2")
             missed.join(timeout=10)
@@ -216,15 +245,118 @@ class TestHealthBypass:
             holder.join(timeout=10)
 
 
+class EngineCalls:
+    """Wrap ``door.api``'s engine calls; books overlap and thread idents."""
+
+    def __init__(self, door: AsyncHyRecServer) -> None:
+        self._lock = threading.Lock()
+        self._active = 0
+        self.peak = 0
+        self.threads: set[int] = set()
+        for name in ("online", "neighbors_from_body"):
+            setattr(door.api, name, self._counted(getattr(door.api, name)))
+
+    def _counted(self, call):
+        def wrapper(*args):
+            with self._lock:
+                self._active += 1
+                self.peak = max(self.peak, self._active)
+                self.threads.add(threading.get_ident())
+            try:
+                return call(*args)
+            finally:
+                with self._lock:
+                    self._active -= 1
+
+        return wrapper
+
+
+class WidgetLoop(threading.Thread):
+    """``rounds`` Table-1 exchanges for one user on one keep-alive connection."""
+
+    def __init__(self, door: AsyncHyRecServer, uid: int, rounds: int) -> None:
+        super().__init__(daemon=True)
+        self.door, self.uid, self.rounds = door, uid, rounds
+        self.statuses: list[int] = []
+        self.start()
+
+    def run(self) -> None:
+        connection = http.client.HTTPConnection(*self.door.address, timeout=30)
+        try:
+            for _ in range(self.rounds):
+                connection.request("GET", f"/online/?uid={self.uid}")
+                response = connection.getresponse()
+                self.statuses.append(response.status)
+                job = PersonalizationJob.from_payload(
+                    self.door.api.decode(response.read())
+                )
+                result = HyRecWidget().process_job(job)
+                connection.request(
+                    "POST",
+                    f"/neighbors/?uid={self.uid}",
+                    body=encode_json(result.to_payload()),
+                )
+                response = connection.getresponse()
+                response.read()
+                self.statuses.append(response.status)
+        finally:
+            connection.close()
+
+
+class TestOneEngineLane:
+    def test_engine_is_never_entered_twice(self, loaded_server):
+        """``HyRecServer`` takes no lock around its request counter, the
+        meter, the sampler RNG or the key-run epoch swap: the front door
+        must never call it from two threads at once."""
+        clients, rounds = 4, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AsyncHyRecServer(loaded_server, cache_ttl=0.0) as door:
+                calls = EngineCalls(door)
+                loops = [WidgetLoop(door, uid, rounds) for uid in range(clients)]
+                for loop in loops:
+                    loop.join(timeout=60)
+                    assert not loop.is_alive()
+                    assert loop.statuses == [200] * (2 * rounds)
+                stats = fetch_stats(door.url)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls.peak == 1
+        assert len(calls.threads) == 1
+        assert stats["online_requests"] == clients * rounds
+        assert stats["knn_updates"] == clients * rounds
+        assert stats["shed_requests"] == 0
+        sent = loaded_server.meter.reading("server->client")
+        assert sent.messages == clients * rounds
+
+
+    def test_failed_engine_call_answers_500_and_the_lane_lives(self, loaded_server):
+        with AsyncHyRecServer(loaded_server, cache_ttl=0.0) as door:
+            online = door.api.online
+
+            def broken(uid: int) -> bytes:
+                raise RuntimeError("engine fault")
+
+            door.api.online = broken  # type: ignore[method-assign]
+            failed = Client(door.address, "/online/?uid=0")
+            failed.join(timeout=10)
+            assert failed.status == 500
+            door.api.online = online  # type: ignore[method-assign]
+            served = Client(door.address, "/online/?uid=0")
+            served.join(timeout=10)
+            assert served.status == 200
+            stats = fetch_stats(door.url)
+            assert stats["in_flight"] == 0 and stats["pending"] == 0
+
+
 class TestGracefulShutdown:
     def test_zero_dropped_in_flight_requests(self, loaded_server):
-        door = AsyncHyRecServer(
-            loaded_server, cache_ttl=0.0, max_concurrency=2, max_pending=4
-        )
+        door = AsyncHyRecServer(loaded_server, cache_ttl=0.0, max_pending=4)
         door.start()
         gate = gate_engine(door)
         clients = [Client(door.address, f"/online/?uid={i}") for i in (0, 1, 2)]
-        wait_for_saturation(door.url, in_flight=2, pending=1)
+        wait_for_saturation(door.url, in_flight=1, pending=2)
 
         stopper = threading.Thread(target=door.stop, daemon=True)
         stopper.start()

@@ -15,6 +15,8 @@ user's own write invalidates immediately.
 from __future__ import annotations
 
 import http.client
+import re
+import socket
 import threading
 import time
 
@@ -257,6 +259,68 @@ class TestBoundedStaleness:
             server.close()
 
 
+def raw_exchange(address: tuple[str, int], *segments: bytes) -> bytes:
+    """Send ``segments`` as separate TCP segments; the reply up to EOF."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for segment in segments:
+            sock.sendall(segment)
+            time.sleep(0.05)
+        reply = b""
+        while chunk := sock.recv(1 << 16):
+            reply += chunk
+    return reply
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            pytest.param(
+                b"POST /neighbors/?uid=0 HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                id="content-length-not-a-number",
+            ),
+            # Barely past the 64 KB stream limit: the server has read all
+            # of it when it gives up, so its close is a FIN, not a reset
+            # that could overtake the reply.
+            pytest.param(
+                b"GET /online/?uid=0 HTTP/1.1\r\nX-Pad: %b\r\n\r\n" % (b"a" * 65536),
+                id="header-line-past-the-stream-limit",
+            ),
+            pytest.param(b"GET /online/?uid=0\r\n\r\n", id="no-http-version"),
+        ],
+    )
+    def test_answers_400_and_closes(self, loaded_server, request_bytes):
+        with AsyncHyRecServer(loaded_server, cache_ttl=0.0) as door:
+            # Reading to EOF proves the server closed the connection.
+            reply = raw_exchange(door.address, request_bytes)
+            head = reply.split(b"\r\n\r\n", 1)[0]
+            assert head.startswith(b"HTTP/1.1 400 Bad Request")
+            assert b"Connection: close" in head
+            connection = http.client.HTTPConnection(*door.address, timeout=30)
+            try:
+                _, _, body = http_get(connection, "/metrics")
+            finally:
+                connection.close()
+            assert (
+                'hyrec_http_requests_total{endpoint="/",status="400"} 1'
+                in body.decode("utf-8")
+            )
+            assert loaded_server.stats.online_requests == 0
+
+    def test_head_split_across_two_segments(self, loaded_server):
+        with AsyncHyRecServer(loaded_server, cache_ttl=0.0) as door:
+            reply = raw_exchange(
+                door.address,
+                b"GET /online/?uid=0 HTTP/1.1\r\nHo",
+                b"st: hyrec\r\nConnection: close\r\n\r\n",
+            )
+            head, body = reply.split(b"\r\n\r\n", 1)
+            assert head.startswith(b"HTTP/1.1 200 OK")
+            assert door.api.decode(body)["u"]
+            assert loaded_server.stats.online_requests == 1
+
+
 class TestHttpSurface:
     def test_unknown_path_404_and_bad_uid_400(self, loaded_server):
         with AsyncHyRecServer(loaded_server, cache_ttl=0.0) as door:
@@ -296,5 +360,11 @@ class TestHttpSurface:
                     'hyrec_http_requests_total{endpoint="/online",status="200"} 2'
                     in text
                 )
+                # The lane saw the miss only: the hit was never admitted.
+                assert "hyrec_http_admit_wait_seconds_count 1" in text
+                busy = re.search(
+                    r"^hyrec_http_engine_busy_seconds_total (\S+)$", text, re.M
+                )
+                assert 0.0 < float(busy.group(1)) < 5.0
             finally:
                 connection.close()
