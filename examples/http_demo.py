@@ -12,7 +12,7 @@ Run:  python examples/http_demo.py
 from repro import HyRecConfig, load_dataset
 from repro.core.server import HyRecServer
 from repro.metrics import format_bytes
-from repro.web import HttpWidgetClient, HyRecHttpServer
+from repro.web import AsyncHyRecServer, HttpWidgetClient
 
 
 def main() -> None:
@@ -22,8 +22,8 @@ def main() -> None:
     for rating in trace:
         server.record_rating(rating.user, rating.item, rating.value, rating.timestamp)
 
-    http_server = HyRecHttpServer(server)
-    port = http_server.start()
+    http_server = AsyncHyRecServer(server)
+    http_server.start()
     print(f"HyRec server listening on {http_server.url}  (Ctrl-C-free demo)")
 
     try:

@@ -43,7 +43,7 @@ from repro.cluster.executors import (
     ThreadPoolExecutor,
     make_executor,
 )
-from repro.cluster.placement import PlacementMap, ShardPlacement
+from repro.cluster.placement import PlacementMap
 from repro.cluster.process_executor import ProcessExecutor
 from repro.cluster.rebalance import BucketMove, ShardRebalancer
 from repro.cluster.scheduler import BatchScheduler, BatchTicket
@@ -70,7 +70,6 @@ __all__ = [
     "SerialExecutor",
     "ShardExecutor",
     "ShardPartial",
-    "ShardPlacement",
     "ShardSlice",
     "ShardStats",
     "ShardedLikedMatrix",

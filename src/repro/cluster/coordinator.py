@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster.executors import ShardExecutor, SerialExecutor
-from repro.cluster.placement import ShardPlacement, rendezvous_owner
+from repro.cluster.placement import PlacementMap, rendezvous_owner
 from repro.cluster.scoring import (
     ShardPartial,
     ShardSlice,
@@ -152,7 +152,7 @@ class ClusterCoordinator:
         table: ProfileTable,
         num_shards: int = 4,
         executor: ShardExecutor | None = None,
-        placement: ShardPlacement | None = None,
+        placement: PlacementMap | None = None,
         obs: Observability | None = None,
         memory=None,
     ) -> None:

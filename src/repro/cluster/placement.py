@@ -309,10 +309,3 @@ class PlacementMap:
             positions = np.nonzero(shard_of_id == shard)[0]
             parts.append((ids[positions], positions))
         return parts
-
-
-#: Backward-compatible name: earlier revisions pinned users to shards
-#: with a fixed ``mix(uid) % num_shards`` hash under this class name;
-#: the movable map subsumes it (same mixing hash, same partition
-#: contract, plus buckets/versioning).
-ShardPlacement = PlacementMap

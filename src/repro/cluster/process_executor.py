@@ -78,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.placement import ShardPlacement, rendezvous_owner
+from repro.cluster.placement import PlacementMap, rendezvous_owner
 from repro.cluster.scoring import ShardSlice, WirePartial
 from repro.cluster.sharded_matrix import ShardStats
 from repro.cluster.supervisor import ShardUnavailable, WorkerSupervisor
@@ -205,7 +205,7 @@ class ProcessExecutor:
         self.obs = obs if obs is not None else Observability.disabled()
         self.memory = memory
         self.vocab = ItemVocabulary()
-        self.placement: ShardPlacement | None = None
+        self.placement: PlacementMap | None = None
         self.supervisor: WorkerSupervisor | None = None
         #: Shards the last ``run_slices`` could not serve (down while
         #: ``degraded_reads`` was on); the coordinator reads this to
@@ -246,7 +246,7 @@ class ProcessExecutor:
         self,
         table: ProfileTable,
         num_shards: int,
-        placement: ShardPlacement | None = None,
+        placement: PlacementMap | None = None,
     ) -> "ProcessExecutor":
         """Spawn the workers and subscribe to the table's write stream.
 
@@ -271,7 +271,7 @@ class ProcessExecutor:
             # leave the executor attachable/closable, not half-built.
             raise ValueError("placement and num_shards disagree")
         self.placement = (
-            placement if placement is not None else ShardPlacement(num_shards)
+            placement if placement is not None else PlacementMap(num_shards)
         )
         self._table = table
         self._write_buffers = [([], [], []) for _ in range(num_shards)]
@@ -666,7 +666,7 @@ class ProcessExecutor:
     def partition(
         self, user_ids: Sequence[int]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Split a candidate list by owning shard (see ``ShardPlacement``)."""
+        """Split a candidate list by owning shard (see ``PlacementMap``)."""
         assert self.placement is not None
         return self.placement.partition(user_ids)
 
@@ -1050,7 +1050,7 @@ class ProcessExecutor:
     def split_buckets(self, factor: int = 2) -> int:
         """Refine the bucket space by ``factor``; returns the new version.
 
-        No data moves (see ``ShardPlacement.split_buckets``): every
+        No data moves (see ``PlacementMap.split_buckets``): every
         worker just learns the new bucket count and the epoch the
         split creates through a v5 :class:`SplitBuckets` frame.  The
         split commits on the parent even if a worker fails the

@@ -4,7 +4,7 @@
 structure across N independent shards: each shard is a plain
 :class:`~repro.engine.liked_matrix.LikedMatrix` that materializes only
 the rows of the users it owns (ownership is decided by a
-:class:`~repro.cluster.placement.ShardPlacement` hash of the user id).
+:class:`~repro.cluster.placement.PlacementMap` hash of the user id).
 
 Writes stay incremental: the sharded matrix subscribes *once* to the
 shared :class:`~repro.core.tables.ProfileTable` and routes every write
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.placement import ShardPlacement, rendezvous_owner
+from repro.cluster.placement import PlacementMap, rendezvous_owner
 from repro.core.tables import ProfileTable
 from repro.engine.liked_matrix import ItemVocabulary, LikedMatrix, MemoryPolicy
 
@@ -75,12 +75,12 @@ class ShardedLikedMatrix:
         self,
         table: ProfileTable,
         num_shards: int,
-        placement: ShardPlacement | None = None,
+        placement: PlacementMap | None = None,
         memory: MemoryPolicy | None = None,
     ) -> None:
         self._table = table
         self.placement = (
-            placement if placement is not None else ShardPlacement(num_shards)
+            placement if placement is not None else PlacementMap(num_shards)
         )
         if self.placement.num_shards != num_shards:
             raise ValueError("placement and num_shards disagree")
@@ -216,7 +216,7 @@ class ShardedLikedMatrix:
 
         Pure metadata for the in-process matrix: the modular bucket
         hash keeps every user's owner across the split (see
-        ``ShardPlacement.split_buckets``), so no row or posting needs
+        ``PlacementMap.split_buckets``), so no row or posting needs
         a refresh -- the hot bucket's cohabitants merely become
         separately movable from here on.
         """
@@ -234,7 +234,7 @@ class ShardedLikedMatrix:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Split a candidate list by owning shard.
 
-        Delegates to :meth:`ShardPlacement.partition`; see there for
+        Delegates to :meth:`PlacementMap.partition`; see there for
         the ``(ids, positions)`` contract the cross-shard merges rely
         on.
         """

@@ -72,9 +72,12 @@ def payload_pearson(a: Mapping[str, float], b: Mapping[str, float]) -> float:
         cov += da * db
         var_a += da * da
         var_b += db * db
-    if var_a == 0.0 or var_b == 0.0:
+    # Two square roots, not one of the product: var_a * var_b can
+    # underflow to 0.0 while each variance is a positive subnormal.
+    denominator = math.sqrt(var_a) * math.sqrt(var_b)
+    if denominator == 0.0:
         return 0.0
-    correlation = cov / math.sqrt(var_a * var_b)
+    correlation = cov / denominator
     # Rounding can push a perfect (anti-)correlation a few ulps past
     # +/-1 (e.g. -1.0000000000000002), which would leak outside the
     # documented [0, 1] range after the affine map.  Clamp first.

@@ -29,7 +29,7 @@ from repro.core.api import WebApi
 from repro.core.config import HyRecConfig
 from repro.core.server import HyRecServer
 from repro.eval.common import format_rows
-from repro.metrics.timing import summarize_latencies
+from repro.obs.timing import summarize_latencies
 from repro.sim.loadgen import LoadGenerator, LoadResult
 from repro.sim.randomness import derive_rng
 

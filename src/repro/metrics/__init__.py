@@ -10,7 +10,7 @@
   candidate-set size curves (Figure 5).
 * latency summaries for the systems experiments (Figures 7-9, 12-13)
   live in :mod:`repro.obs.timing` (the observability layer) and are
-  re-exported here; :mod:`repro.metrics.timing` is a deprecated shim.
+  re-exported here.
 * :mod:`repro.metrics.bandwidth` -- byte formatting and per-widget
   traffic summaries (Figure 10, Section 5.6).
 """

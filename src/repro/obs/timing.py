@@ -3,8 +3,7 @@
 Lives in the observability layer (PR 7) so there is exactly one place
 that turns raw latency samples into aggregate statistics: the
 evaluation figures (``repro.eval``), the benchmarks, and the obs dump
-all summarize through here.  ``repro.metrics.timing`` remains as a
-deprecated import shim.
+all summarize through here.
 
 For live instruments prefer a
 :class:`repro.obs.registry.Histogram` -- it is bounded and mergeable

@@ -20,7 +20,6 @@ from repro.datasets import dataset_names, load_dataset
 from repro.metrics import format_bytes
 from repro.web.async_server import AsyncHyRecServer
 from repro.web.client import HttpWidgetClient
-from repro.web.server import HyRecHttpServer
 
 
 def build_server(
@@ -84,18 +83,11 @@ def main(argv: list[str] | None = None) -> int:
         help="log requests slower than this many ms (0 = off)",
     )
     parser.add_argument(
-        "--frontdoor",
-        choices=("async", "threaded"),
-        default="async",
-        help="async = admission control + response cache (docs/http.md); "
-        "threaded = the zero-moving-parts stdlib server",
-    )
-    parser.add_argument(
         "--cache-ttl",
         type=float,
         default=0.0,
-        help="response-cache staleness bound in seconds (async front door; "
-        "0 = cache off, byte-exact responses)",
+        help="response-cache staleness bound in seconds "
+        "(0 = cache off, byte-exact responses)",
     )
     parser.add_argument(
         "--cache-capacity", type=int, default=1024, help="max cached responses"
@@ -104,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         "--max-pending",
         type=int,
         default=64,
-        help="queued requests before shedding 503s (async front door)",
+        help="queued requests before shedding 503s",
     )
     parser.add_argument(
         "--retry-after",
@@ -137,22 +129,14 @@ def main(argv: list[str] | None = None) -> int:
         http_retry_after=args.retry_after,
     )
     server = build_server(args.dataset, args.scale, args.seed, config)
-    if args.frontdoor == "async":
-        http_server: AsyncHyRecServer | HyRecHttpServer = AsyncHyRecServer(
-            server, port=args.port
-        )
-    else:
-        http_server = HyRecHttpServer(server, port=args.port)
+    http_server = AsyncHyRecServer(server, port=args.port)
     http_server.start()
-    print(
-        f"HyRec serving {args.dataset} (scale {args.scale}) at {http_server.url}"
-        f" ({args.frontdoor} front door)"
-    )
+    print(f"HyRec serving {args.dataset} (scale {args.scale}) at {http_server.url}")
     print(
         f"  {server.num_users} users loaded; "
         "endpoints: /online /neighbors /stats /metrics"
     )
-    if args.frontdoor == "async" and args.cache_ttl > 0:
+    if args.cache_ttl > 0:
         print(
             f"  response cache on: ttl {args.cache_ttl}s, "
             f"capacity {args.cache_capacity}"

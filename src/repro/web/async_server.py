@@ -4,10 +4,9 @@ This is the production path in front of a :class:`HyRecServer` (any
 engine, including the sharded/process cluster): a single-threaded
 asyncio accept/parse/respond loop, a bounded admission queue feeding
 one engine lane, and the per-user L1 response cache of
-:mod:`repro.web.cache`.  The threaded
-:class:`~repro.web.server.HyRecHttpServer` stays as the zero-moving-
-parts demo deployment; both mount the same :class:`~repro.core.api.
-WebApi`, so the endpoint surface (the paper's Table 1) is identical.
+:mod:`repro.web.cache`.  It mounts :class:`~repro.core.api.WebApi`,
+so the endpoints are the paper's Table 1 (``/online``, ``/neighbors``)
+plus ``/stats`` and ``/metrics``; ``docs/http.md`` documents them.
 
 Request flow::
 
@@ -41,9 +40,8 @@ Contracts the test suite pins down:
   bound get ``503`` with a ``Retry-After: http_retry_after`` header
   and count into the shed counter; nothing is queued unboundedly.
 * **Health bypass.** ``/stats/`` and ``/metrics`` never enter the
-  admission queue and are never cached (the threaded server behaves
-  the same way, implicitly); they run on a dedicated thread so a
-  busy engine lane cannot starve them.
+  admission queue and are never cached; they run on a dedicated
+  thread so a busy engine lane cannot starve them.
 * **Graceful drain.** :meth:`AsyncHyRecServer.stop` stops accepting,
   lets every admitted request finish, then closes idle keep-alive
   connections -- zero in-flight requests dropped.
@@ -77,6 +75,7 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+_ENDPOINTS = frozenset({"/online", "/neighbors", "/stats", "/metrics"})
 _TEXT = "text/plain; charset=utf-8"
 _JSON = "application/json"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -88,12 +87,12 @@ _ADMIT_WAIT_BUCKETS = log_buckets(0.00005, 2.0, 16)
 class AsyncHyRecServer:
     """Lifecycle wrapper around the asyncio front door.
 
-    Mirrors :class:`~repro.web.server.HyRecHttpServer`: construct over
-    a live :class:`HyRecServer`, :meth:`start` (binds and serves on a
-    background event-loop thread, returns the port), :meth:`stop`
-    (graceful drain).  Admission and cache knobs default to the server
-    config (``http_max_pending``, ``http_retry_after``, ``cache_ttl``,
-    ``cache_capacity``); keyword overrides exist for tests and sweeps.
+    Construct over a live :class:`HyRecServer`, :meth:`start` (binds
+    and serves on a background event-loop thread, returns the port),
+    :meth:`stop` (graceful drain).  Admission and cache knobs default
+    to the server config (``http_max_pending``, ``http_retry_after``,
+    ``cache_ttl``, ``cache_capacity``); keyword overrides exist for
+    tests and sweeps.
     """
 
     def __init__(
@@ -146,7 +145,8 @@ class AsyncHyRecServer:
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
         self._address: tuple[str, int] | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
+        # Open connections and the handler task serving each.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         # Admission state; touched only on the event-loop thread.
         # Engine calls handed to the lane and not yet answered: the
         # lane is FIFO, so one of them is executing, the rest wait.
@@ -275,8 +275,11 @@ class AsyncHyRecServer:
                 )
                 break
             await asyncio.sleep(0.005)
-        for writer in list(self._writers):
+        connections = dict(self._connections)
+        for writer in connections:
             writer.close()
+        if connections:  # let idle handlers see EOF and return
+            await asyncio.wait(connections.values(), timeout=self.drain_timeout)
 
     # --- the engine lane ----------------------------------------------------------
 
@@ -312,7 +315,7 @@ class AsyncHyRecServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -340,7 +343,7 @@ class AsyncHyRecServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._writers.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
 
     @staticmethod
@@ -400,7 +403,9 @@ class AsyncHyRecServer:
                     lambda: metrics_text(self.hyrec).encode("utf-8"),
                 )
                 return self._finish("/metrics", 200, start, payload, _PROMETHEUS)
-            return self._finish(path or "/", 404, start, b"unknown endpoint")
+            # Unknown paths share one label: the label set stays bounded.
+            endpoint = path if path in _ENDPOINTS else "other"
+            return self._finish(endpoint, 404, start, b"unknown endpoint")
         except (KeyError, ValueError) as error:
             return self._finish(
                 path or "/", 400, start, f"bad request: {error}".encode()

@@ -1,7 +1,7 @@
 """HTTP widget client: the JavaScript widget's Python twin.
 
 Fetches a personalization job from a running
-:class:`~repro.web.server.HyRecHttpServer`, executes it with the real
+:class:`~repro.web.async_server.AsyncHyRecServer`, executes it with the real
 :class:`~repro.core.client.HyRecWidget`, and reports the new KNN back
 -- one full Figure 1 (bottom) round trip over actual sockets.
 """

@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import HyRecConfig
 from repro.core.server import HyRecServer
 from repro.core.system import HyRecSystem
 from repro.datasets import load_dataset
 from repro.datasets.schema import Rating, Trace
+
+# Tier-1 is decided by the code, not by the draw: every property test
+# replays the same examples on every run.  The "fuzz" profile searches
+# afresh (``pytest tests --hypothesis-profile=fuzz``, a non-gating CI
+# job) and prints a reproduction blob for anything it falsifies.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from repro.core.config import HyRecConfig
 from repro.core.jobs import PersonalizationJob
 from repro.core.server import HyRecServer
 from repro.messages import decode_json, encode_json, gzip_compress
-from repro.web import HttpWidgetClient, HyRecHttpServer
+from repro.web import AsyncHyRecServer, HttpWidgetClient
 
 
 @pytest.fixture()
@@ -73,7 +73,7 @@ class TestWebApi:
 class TestHttpDeployment:
     @pytest.fixture()
     def running(self, loaded_server):
-        http_server = HyRecHttpServer(loaded_server)
+        http_server = AsyncHyRecServer(loaded_server)
         http_server.start()
         yield http_server
         http_server.stop()
@@ -107,6 +107,7 @@ class TestHttpDeployment:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{running.url}/nope", timeout=5)
         assert excinfo.value.code == 404
+        excinfo.value.close()
 
     def test_bad_uid_400(self, running):
         import urllib.error
@@ -117,6 +118,7 @@ class TestHttpDeployment:
                 f"{running.url}/online/?uid=notanumber", timeout=5
             )
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_concurrent_clients(self, running):
         import threading

@@ -8,8 +8,8 @@ import pytest
 from repro.cluster import (
     BatchScheduler,
     ClusterCoordinator,
+    PlacementMap,
     SerialExecutor,
-    ShardPlacement,
     ShardedLikedMatrix,
     ThreadPoolExecutor,
     make_executor,
@@ -23,14 +23,14 @@ from repro.engine.jobs import EngineJob
 
 class TestShardPlacement:
     def test_deterministic_and_in_range(self):
-        placement = ShardPlacement(4)
+        placement = PlacementMap(4)
         for uid in range(500):
             shard = placement.shard_of(uid)
             assert 0 <= shard < 4
             assert shard == placement.shard_of(uid)
 
     def test_vectorized_matches_scalar(self):
-        placement = ShardPlacement(8)
+        placement = PlacementMap(8)
         ids = np.arange(0, 3000, 7, dtype=np.int64)
         vectorized = placement.shards_of(ids)
         assert [placement.shard_of(int(u)) for u in ids] == vectorized.tolist()
@@ -39,7 +39,7 @@ class TestShardPlacement:
         # The avalanche hash must not map arithmetic id structure onto
         # shard structure (uid % n would put a strided trace entirely
         # on one shard).
-        placement = ShardPlacement(8)
+        placement = PlacementMap(8)
         counts = np.bincount(
             placement.shards_of(np.arange(8000, dtype=np.int64)), minlength=8
         )
@@ -47,12 +47,12 @@ class TestShardPlacement:
         assert counts.max() < 1.5 * counts.mean()
 
     def test_single_shard_owns_everything(self):
-        placement = ShardPlacement(1)
+        placement = PlacementMap(1)
         assert placement.shards_of(np.arange(50)).tolist() == [0] * 50
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
-            ShardPlacement(0)
+            PlacementMap(0)
 
 
 class TestShardedLikedMatrix:

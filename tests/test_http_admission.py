@@ -19,10 +19,9 @@ import pytest
 
 from repro.core.client import HyRecWidget
 from repro.core.jobs import PersonalizationJob
-from repro.messages import decode_json, encode_json
+from repro.messages import encode_json
 from repro.web.async_server import AsyncHyRecServer
-from repro.web.loadtest import fetch_stats
-from repro.web.server import HyRecHttpServer
+from repro.web.client import HttpWidgetClient
 
 
 class GatedOnline:
@@ -53,14 +52,15 @@ def wait_for_saturation(
     url: str, in_flight: int, pending: int, timeout: float = 10.0
 ) -> dict:
     """Poll ``/stats/`` until the admission gauges hit the target."""
+    client = HttpWidgetClient(url)
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        stats = fetch_stats(url)
+        stats = client.stats()
         if stats["in_flight"] == in_flight and stats["pending"] == pending:
             return stats
         time.sleep(0.01)
     raise AssertionError(
-        f"never reached in_flight={in_flight} pending={pending}: {fetch_stats(url)}"
+        f"never reached in_flight={in_flight} pending={pending}: {client.stats()}"
     )
 
 
@@ -121,7 +121,7 @@ class TestShedding:
             waiting.join(timeout=10)
             assert executing.status == 200 and waiting.status == 200
 
-            stats = fetch_stats(door.url)
+            stats = HttpWidgetClient(door.url).stats()
             assert stats["shed_requests"] == 1
             assert stats["in_flight"] == 0 and stats["pending"] == 0
 
@@ -148,7 +148,7 @@ class TestShedding:
             gate.release()
             holder.join(timeout=10)
             assert holder.status == 200
-            stats = fetch_stats(door.url)
+            stats = HttpWidgetClient(door.url).stats()
             assert stats["shed_requests"] == burst
             assert stats["online_requests"] == 1
 
@@ -189,7 +189,7 @@ class TestShedding:
             for client in admitted:
                 client.join(timeout=10)
             assert [client.status for client in admitted] == [200] * (max_pending + 1)
-            assert fetch_stats(door.url)["shed_requests"] == 2
+            assert HttpWidgetClient(door.url).stats()["shed_requests"] == 2
 
 
 class TestHealthBypass:
@@ -234,7 +234,7 @@ class TestHealthBypass:
             assert hit.status == 200
             assert hit.headers["x-cache"] == "hit"
             assert hit.body == warm.body
-            stats = fetch_stats(door.url)
+            stats = HttpWidgetClient(door.url).stats()
             assert stats["cache_hits"] == 1 and stats["in_flight"] == 1
 
             missed = Client(door.address, "/online/?uid=2")
@@ -319,7 +319,7 @@ class TestOneEngineLane:
                     loop.join(timeout=60)
                     assert not loop.is_alive()
                     assert loop.statuses == [200] * (2 * rounds)
-                stats = fetch_stats(door.url)
+                stats = HttpWidgetClient(door.url).stats()
         finally:
             sys.setswitchinterval(interval)
         assert calls.peak == 1
@@ -346,7 +346,7 @@ class TestOneEngineLane:
             served = Client(door.address, "/online/?uid=0")
             served.join(timeout=10)
             assert served.status == 200
-            stats = fetch_stats(door.url)
+            stats = HttpWidgetClient(door.url).stats()
             assert stats["in_flight"] == 0 and stats["pending"] == 0
 
 
@@ -385,25 +385,3 @@ class TestGracefulShutdown:
             finally:
                 connection.close()
 
-
-class TestThreadedServerRegression:
-    def test_threaded_stats_and_metrics_still_serve(self, loaded_server):
-        """The zero-moving-parts deployment keeps its health surface."""
-        http_server = HyRecHttpServer(loaded_server)
-        port = http_server.start()
-        try:
-            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-            try:
-                connection.request("GET", "/stats/")
-                response = connection.getresponse()
-                stats = decode_json(response.read())
-                assert response.status == 200
-                assert stats["users"] == loaded_server.num_users
-                connection.request("GET", "/metrics")
-                response = connection.getresponse()
-                assert response.status == 200
-                assert b"hyrec" in response.read()
-            finally:
-                connection.close()
-        finally:
-            http_server.stop()

@@ -14,7 +14,9 @@ user's own write invalidates immediately.
 
 from __future__ import annotations
 
+import gc
 import http.client
+import logging
 import re
 import socket
 import threading
@@ -368,3 +370,37 @@ class TestHttpSurface:
                 assert 0.0 < float(busy.group(1)) < 5.0
             finally:
                 connection.close()
+
+    def test_unknown_paths_share_one_label(self, loaded_server):
+        with AsyncHyRecServer(loaded_server, cache_ttl=0.0) as door:
+            connection = http.client.HTTPConnection(*door.address, timeout=30)
+            try:
+                for index in range(50):
+                    status, _, _ = http_get(connection, f"/unknown{index}")
+                    assert status == 404
+                _, _, body = http_get(connection, "/metrics")
+            finally:
+                connection.close()
+        series = [
+            line
+            for line in body.decode("utf-8").splitlines()
+            if line.startswith("hyrec_http_requests_total{")
+            and 'status="404"' in line
+        ]
+        assert series == [
+            'hyrec_http_requests_total{endpoint="other",status="404"} 50'
+        ]
+
+    def test_stop_with_idle_keepalive_leaves_no_pending_task(
+        self, loaded_server, caplog
+    ):
+        door = AsyncHyRecServer(loaded_server, cache_ttl=0.0)
+        door.start()
+        with socket.create_connection(door.address, timeout=10) as sock:
+            sock.sendall(b"GET /stats/ HTTP/1.1\r\nHost: hyrec\r\n\r\n")
+            assert sock.recv(1 << 16).startswith(b"HTTP/1.1 200 OK")
+            # The connection stays open and idle while the door stops.
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                door.stop()
+                gc.collect()
+        assert not [r for r in caplog.records if r.name == "asyncio"]

@@ -480,7 +480,7 @@ class TestMetricsEndpoint:
 
     def test_metrics_endpoint_serves_shard_series(self):
         from repro.core.server import HyRecServer
-        from repro.web.server import HyRecHttpServer
+        from repro.web import AsyncHyRecServer
 
         config = HyRecConfig(engine="sharded", num_shards=2, executor="serial")
         server = HyRecServer(config, seed=2)
@@ -488,7 +488,7 @@ class TestMetricsEndpoint:
             server.record_rating(
                 rating.user, rating.item, rating.value, rating.timestamp
             )
-        http_server = HyRecHttpServer(server)
+        http_server = AsyncHyRecServer(server)
         try:
             port = http_server.start()
             urllib.request.urlopen(
@@ -510,7 +510,7 @@ class TestMetricsEndpoint:
 
     def test_metrics_endpoint_reaches_worker_processes(self):
         from repro.core.server import HyRecServer
-        from repro.web.server import HyRecHttpServer
+        from repro.web import AsyncHyRecServer
 
         config = HyRecConfig(
             engine="sharded", num_shards=2, executor="process"
@@ -520,7 +520,7 @@ class TestMetricsEndpoint:
             server.record_rating(
                 rating.user, rating.item, rating.value, rating.timestamp
             )
-        http_server = HyRecHttpServer(server)
+        http_server = AsyncHyRecServer(server)
         try:
             port = http_server.start()
             urllib.request.urlopen(

@@ -94,12 +94,12 @@ class TestLifecycle:
         executor.close()  # idempotent
 
     def test_mismatched_placement_leaves_executor_attachable(self):
-        from repro.cluster import ShardPlacement
+        from repro.cluster import PlacementMap
 
         executor = ProcessExecutor()
         with pytest.raises(ValueError, match="disagree"):
             executor.attach(
-                ProfileTable(), num_shards=4, placement=ShardPlacement(2)
+                ProfileTable(), num_shards=4, placement=PlacementMap(2)
             )
         # The failed attach mutated nothing: a corrected one succeeds.
         executor.attach(ProfileTable(), num_shards=2)
