@@ -63,14 +63,12 @@ Two measurements:
 
 6. **Memory** (the million-user shape): zipf-distributed synthetic
    populations (:mod:`repro.datasets.synthetic`) stream through the
-   constant-memory loader into the engine -- 100k users with and
-   without the bounded-memory policy (row eviction + int32
-   narrowing), and 1M users under the policy in the full run.  Each
-   case runs in a forked child so ``ru_maxrss`` is a per-case peak;
-   the report records peak RSS, sustained write throughput, serve-
-   wave RPS, and the engine's own arena accounting
-   (``memory_stats``).  ``--memory-smoke`` runs the 100k pair only,
-   asserts the policy run's peak RSS stays under a fixed ceiling,
+   constant-memory loader into the engine -- 100k users, and 1M users
+   in the full run.  Each case runs in a forked child so
+   ``ru_maxrss`` is a per-case peak; the report records peak RSS,
+   sustained write throughput, serve-wave RPS, and the engine's own
+   arena accounting (``memory_stats``).  ``--memory-smoke`` runs the
+   100k case only, asserts its peak RSS stays under a fixed ceiling,
    and merges the section into the existing report (the CI
    memory-scale smoke).
 """
@@ -800,8 +798,6 @@ def _memory_case(
     total_writes: int,
     engine: str = "vectorized",
     num_shards: int = 1,
-    evict_max_rows: int = 0,
-    narrow: bool = False,
     requests: int = 256,
     batch_window: int = 32,
     chunk_size: int = 65_536,
@@ -828,8 +824,6 @@ def _memory_case(
         engine=engine,
         num_shards=num_shards,
         batch_window=batch_window,
-        evict_max_rows=evict_max_rows,
-        narrow_dtypes=narrow,
     )
     system = HyRecSystem(config, seed=seed)
     loader = StreamingLoader(spec, chunk_size=chunk_size)
@@ -858,8 +852,6 @@ def _memory_case(
         },
         "engine": engine,
         "num_shards": num_shards,
-        "evict_max_rows": evict_max_rows,
-        "narrow_dtypes": narrow,
         "users_seen": len(system.server.profiles),
         "write_s": round(write_s, 3),
         "writes_per_s": round(written / write_s, 1),
@@ -906,60 +898,43 @@ def _run_memory_case(**kwargs) -> dict:
     return entry
 
 
-#: Peak-RSS ceiling (MB) for the 100k-user policy case in the CI
-#: smoke.  Measured ~330 MB on the reference box (the Profile Table
+#: Peak-RSS ceiling (MB) for the 100k-user case in the CI smoke.
+#: Measured ~310 MB on a 2-core Xeon (the Profile Table
 #: dominates; the arena itself is a few MB); the ceiling leaves ~2x
 #: headroom for allocator and platform variance without letting a
-#: quadratic write path or an eviction regression slip through.
+#: quadratic write path slip through.
 MEMORY_SMOKE_RSS_CEILING_MB = 640.0
 
 
 def bench_memory(full: bool, seed: int = 0) -> dict:
     """Peak RSS + write throughput at 100k (and, full mode, 1M) users.
 
-    The 100k pair isolates what the bounded-memory policy buys at
-    constant workload; the 1M case is the tentpole standup -- the
-    population the paper's front-end claims to face, streamed through
-    the loader and served, with peak RSS as the documented budget.
+    The 1M case is the tentpole standup -- the population the paper's
+    front-end claims to face, streamed through the loader and served,
+    with peak RSS as the documented budget.
     """
     cases = [
         dict(
-            name="100k-baseline",
+            name="100k",
             num_users=100_000,
             catalog=50_000,
             total_writes=1_000_000,
-            seed=seed,
-        ),
-        dict(
-            name="100k-evict-narrow",
-            num_users=100_000,
-            catalog=50_000,
-            total_writes=1_000_000,
-            evict_max_rows=20_000,
-            narrow=True,
             seed=seed,
         ),
     ]
     if full:
         cases.append(
             dict(
-                name="1M-evict-narrow",
+                name="1M",
                 num_users=1_000_000,
                 catalog=200_000,
                 total_writes=3_000_000,
-                evict_max_rows=100_000,
-                narrow=True,
                 seed=seed,
             )
         )
-    entries = [_run_memory_case(**case) for case in cases]
-    baseline, policied = entries[0], entries[1]
     return {
         "rss_ceiling_mb": MEMORY_SMOKE_RSS_CEILING_MB,
-        "policy_rss_saving_mb": round(
-            baseline["peak_rss_mb"] - policied["peak_rss_mb"], 1
-        ),
-        "cases": entries,
+        "cases": [_run_memory_case(**case) for case in cases],
     }
 
 
@@ -992,9 +967,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--memory-smoke",
         action="store_true",
-        help="run only the 100k-user memory pair, assert the policy "
-        "run's peak RSS stays under the ceiling, and merge it into an "
-        "existing report (the CI memory-scale smoke)",
+        help="run only the 100k-user memory case, assert its peak RSS "
+        "stays under the ceiling, and merge it into an existing report "
+        "(the CI memory-scale smoke)",
     )
     parser.add_argument(
         "--output",
@@ -1006,10 +981,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.memory_smoke:
         memory = bench_memory(full=False)
-        policied = memory["cases"][1]
-        if policied["peak_rss_mb"] > MEMORY_SMOKE_RSS_CEILING_MB:
+        (case,) = memory["cases"]
+        if case["peak_rss_mb"] > MEMORY_SMOKE_RSS_CEILING_MB:
             raise SystemExit(
-                f"memory smoke: peak RSS {policied['peak_rss_mb']} MB "
+                f"memory smoke: peak RSS {case['peak_rss_mb']} MB "
                 f"exceeds the {MEMORY_SMOKE_RSS_CEILING_MB} MB ceiling"
             )
         report = (

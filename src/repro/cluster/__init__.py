@@ -22,7 +22,7 @@ background control-loop thread, and pathologically hot buckets split
 (``split_buckets`` -- an epoch-bumped metadata change that moves no
 data).  The process executor is fault tolerant: a
 :class:`WorkerSupervisor` detects worker death through socket
-deadlines and v3 ping probes, re-forks the shard's worker, and
+deadlines and ping probes, re-forks the shard's worker, and
 warm-starts it from the coordinator-side replay log -- recovery is
 exact, and ``ProcessExecutor.rolling_restart`` cycles the whole
 fleet under live traffic.  Selected per deployment with

@@ -154,7 +154,6 @@ class ClusterCoordinator:
         executor: ShardExecutor | None = None,
         placement: PlacementMap | None = None,
         obs: Observability | None = None,
-        memory=None,
     ) -> None:
         self._table = table
         self.executor = executor if executor is not None else SerialExecutor()
@@ -172,14 +171,9 @@ class ClusterCoordinator:
             # table's pre-existing profiles, and subscribes to the
             # write stream; the executor then exposes the same
             # vocab/partition/stats surface the in-process matrix does.
-            # The memory policy ships to each worker in its Hello, so
-            # the executor carries it (set via make_executor) rather
-            # than taking it here.
             self._shards = self.executor.attach(table, num_shards, placement)
         else:
-            self.matrix = ShardedLikedMatrix(
-                table, num_shards, placement, memory=memory
-            )
+            self.matrix = ShardedLikedMatrix(table, num_shards, placement)
             self._shards = self.matrix
         self.batches_processed = 0
         self.jobs_processed = 0
@@ -314,10 +308,10 @@ class ClusterCoordinator:
         start = time.perf_counter()
         with self._ops_lock:
             if self.matrix is not None:
-                shard = self.matrix.add_shard(migrate=False)
+                shard = self.matrix.add_shard()
                 self._add_shard_instruments(shard)
             else:
-                shard = self.executor.add_shard(migrate=False)
+                shard = self.executor.add_shard()
         moved = 0
         if migrate:
             placement = self.placement

@@ -96,21 +96,17 @@ def make_executor(
     retry_backoff: float = 0.05,
     degraded_reads: bool = False,
     obs=None,
-    memory=None,
 ) -> ShardExecutor:
     """Build the executor selected by ``HyRecConfig.executor``.
 
     The keyword knobs configure the process executor's IPC behavior
     (write-buffer flush threshold, shard-local top-K truncation of
     shipped partials), its supervision policy (socket deadline,
-    respawn budget/backoff, degraded reads), the shared
-    :class:`~repro.obs.Observability` its workers report into, and the
-    :class:`~repro.engine.liked_matrix.MemoryPolicy` each worker
-    applies to its shard matrix (shipped in the v6 Hello); all of them
-    are ignored by the in-process executors, which have no workers to
-    lose (their shard metrics sample through the coordinator into the
-    shared registry directly, and the coordinator hands the memory
-    policy to its in-process :class:`ShardedLikedMatrix` itself).
+    respawn budget/backoff, degraded reads), and the shared
+    :class:`~repro.obs.Observability` its workers report into; all of
+    them are ignored by the in-process executors, which have no
+    workers to lose (their shard metrics sample through the
+    coordinator into the shared registry directly).
     """
     if name == "serial":
         return SerialExecutor()
@@ -130,7 +126,6 @@ def make_executor(
             retry_backoff=retry_backoff,
             degraded_reads=degraded_reads,
             obs=obs,
-            memory=memory,
         )
     raise ValueError(
         f"unknown executor {name!r}; expected one of {EXECUTOR_NAMES}"

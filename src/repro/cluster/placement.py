@@ -269,7 +269,7 @@ class PlacementMap:
         hot bucket's users now spread over ``factor`` independently
         movable buckets, so the rebalancer can peel load off it.  The
         epoch advances by exactly one, handoff-style; process workers
-        learn the new count through the v5 ``SplitBuckets`` frame.
+        learn the new count through the ``SplitBuckets`` frame.
         """
         if factor < 2:
             raise ValueError(f"split factor must be >= 2, got {factor}")

@@ -46,11 +46,11 @@ Parent-side responsibilities:
 * **Elastic topology** -- :meth:`~ProcessExecutor.add_shard` forks,
   handshakes, and vocab-replicates a late joiner (an ordinary Hello at
   the current epoch -- a join owns nothing, so it never moves the
-  routing version), then migrates its rendezvous share in bucket by
-  bucket; :meth:`~ProcessExecutor.remove_shard` drains the last
-  shard's buckets out and retires it with a clean Shutdown; and
+  routing version) that owns no buckets until the coordinator
+  migrates its share in; :meth:`~ProcessExecutor.remove_shard` retires
+  the last, already drained shard with a clean Shutdown; and
   :meth:`~ProcessExecutor.split_buckets` refines the bucket space in
-  place via the v5 :class:`~repro.cluster.transport.SplitBuckets`
+  place via the :class:`~repro.cluster.transport.SplitBuckets`
   frame -- zero data motion, because the modular bucket hash is
   stable under multiplication of the bucket count.
 * **Concurrency** -- every bidirectional exchange (job dispatch,
@@ -78,13 +78,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.placement import PlacementMap, rendezvous_owner
+from repro.cluster.placement import PlacementMap
 from repro.cluster.scoring import ShardSlice, WirePartial
 from repro.cluster.sharded_matrix import ShardStats
 from repro.cluster.supervisor import ShardUnavailable, WorkerSupervisor
 from repro.cluster.transport import (
     HELLO_FLAG_METRICS,
-    HELLO_FLAG_NARROW,
     Channel,
     HandoffData,
     HandoffRequest,
@@ -132,7 +131,6 @@ class ProcessExecutor:
         retry_backoff: float = 0.05,
         degraded_reads: bool = False,
         obs: Observability | None = None,
-        memory=None,
     ) -> None:
         """
         Args:
@@ -168,10 +166,6 @@ class ProcessExecutor:
                 polled by :meth:`metrics_samples`; with tracing
                 enabled, traced batches stitch worker score spans into
                 the parent's traces.  Defaults to a disabled instance.
-            memory: :class:`~repro.engine.liked_matrix.MemoryPolicy`
-                each worker applies to its shard matrix, shipped in
-                the v6 Hello of every handshake (respawns included).
-                ``None`` keeps the classic unbounded int64 matrices.
         """
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
@@ -203,7 +197,6 @@ class ProcessExecutor:
         self.retry_backoff = retry_backoff
         self.degraded_reads = degraded_reads
         self.obs = obs if obs is not None else Observability.disabled()
-        self.memory = memory
         self.vocab = ItemVocabulary()
         self.placement: PlacementMap | None = None
         self.supervisor: WorkerSupervisor | None = None
@@ -384,13 +377,6 @@ class ProcessExecutor:
         channel = self._channels[shard]
         assert channel is not None
         flags = HELLO_FLAG_METRICS if self.obs.registry.enabled else 0
-        evict_max_rows = 0
-        evict_ttl_ms = 0
-        if self.memory is not None:
-            if self.memory.narrow_dtypes:
-                flags |= HELLO_FLAG_NARROW
-            evict_max_rows = self.memory.max_resident_rows
-            evict_ttl_ms = int(round(self.memory.ttl_seconds * 1000))
         try:
             channel.send(
                 Hello(
@@ -399,8 +385,6 @@ class ProcessExecutor:
                     num_buckets=self.placement.num_buckets,
                     map_version=self.placement.version,
                     flags=flags,
-                    evict_max_rows=evict_max_rows,
-                    evict_ttl_ms=evict_ttl_ms,
                 )
             )
             ready = channel.recv()
@@ -941,19 +925,17 @@ class ProcessExecutor:
 
     # --- elastic topology ---------------------------------------------------
 
-    def add_shard(self, migrate: bool = True) -> int:
-        """Grow the fleet by one worker; returns the new shard's index.
+    def add_shard(self) -> int:
+        """Grow the fleet by one empty worker; returns its index.
 
         The joiner is spawned and handshaken at the *current* epoch
         and bucket count (its Hello pins both), then receives the full
         vocabulary replica -- at which point it is a first-class,
-        supervised worker that simply owns no buckets yet.  With
-        ``migrate=True`` its rendezvous share (exactly the buckets it
-        would have won at boot -- minimal movement) is then migrated
-        in, bucket by bucket, through the ordinary epoch-bumped
-        handoff.  A spawn or handshake failure rolls the topology back
-        completely and raises; the epoch never moves for the join
-        itself, only for the per-bucket migrations.
+        supervised worker that simply owns no buckets yet; the
+        coordinator migrates its share in through the ordinary
+        epoch-bumped handoff.  A spawn or handshake failure rolls the
+        topology back completely and raises; the join never moves the
+        epoch.
         """
         with self.ops_lock:
             if self._closed or self.placement is None:
@@ -990,41 +972,26 @@ class ProcessExecutor:
                 raise
             if self.supervisor is not None:
                 self.supervisor.add_shard()
-        if migrate:
-            for bucket in placement.rendezvous_share(shard).tolist():
-                if placement.owner_of(bucket) != shard:
-                    self.migrate_bucket(int(bucket), shard)
         return shard
 
     def remove_shard(self) -> int:
-        """Retire the last shard's worker; returns the retired index.
+        """Retire the last, already drained worker; returns its index.
 
         Only the last index can retire (lower ones would renumber the
-        fleet).  Its buckets are first drained out to their rendezvous
-        winners among the survivors -- each drain an ordinary
-        epoch-bumped handoff -- then the empty worker gets a clean
-        :class:`Shutdown` and is reaped, and the topology shrinks.
-        Like a join, the retire itself never moves the epoch.
+        fleet), and only once the coordinator has migrated its buckets
+        out -- :meth:`PlacementMap.remove_last_shard` refuses it
+        otherwise.  The empty worker gets a clean :class:`Shutdown` and
+        is reaped.  Like a join, the retire never moves the epoch.
         """
         with self.ops_lock:
             if self._closed or self.placement is None:
                 raise RuntimeError("ProcessExecutor is not running")
-            placement = self.placement
-            if placement.num_shards < 2:
-                raise ValueError("cannot remove the only shard")
-            shard = placement.num_shards - 1
             for other in range(self.num_shards):
                 if self._shard_unhealthy(other):
                     raise ShardUnavailable(
                         other, "cannot shrink while a shard needs recovery"
                     )
-        survivors = placement.num_shards - 1
-        for bucket in placement.buckets_owned_by(shard).tolist():
-            self.migrate_bucket(
-                int(bucket), rendezvous_owner(int(bucket), survivors)
-            )
-        with self.ops_lock:
-            assert placement.buckets_owned_by(shard).size == 0
+            shard = self.placement.remove_last_shard()
             channel = self._channels[shard]
             if channel is not None:
                 try:
@@ -1042,7 +1009,6 @@ class ProcessExecutor:
             self._suspect.discard(shard)
             if self.supervisor is not None:
                 self.supervisor.remove_last_shard()
-            placement.remove_last_shard()
             if proc is not None:
                 self._reap(proc)
         return shard
@@ -1052,7 +1018,7 @@ class ProcessExecutor:
 
         No data moves (see ``PlacementMap.split_buckets``): every
         worker just learns the new bucket count and the epoch the
-        split creates through a v5 :class:`SplitBuckets` frame.  The
+        split creates through a :class:`SplitBuckets` frame.  The
         split commits on the parent even if a worker fails the
         delivery -- that worker is marked suspect and its respawn
         Hello carries the post-split count, so it can never serve
@@ -1133,7 +1099,7 @@ class ProcessExecutor:
     def stats(self) -> tuple[ShardStats, ...]:
         """Per-worker load/churn counters, via a stats round trip.
 
-        Each shard is probed (v3 ping, refreshing ``last_ping_ms``)
+        Each shard is probed (ping, refreshing ``last_ping_ms``)
         and queried; a shard that fails gets one recovery attempt, and
         one that stays down is reported as a dead row
         (``alive=False``) rather than failing the whole read --
@@ -1179,7 +1145,6 @@ class ProcessExecutor:
                 last_ping_ms=(
                     supervisor.last_ping_ms[shard] if supervisor else -1.0
                 ),
-                evictions=reply.evictions,
                 arena_capacity=reply.arena_capacity,
             )
         return ShardStats(

@@ -31,9 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.placement import PlacementMap, rendezvous_owner
+from repro.cluster.placement import PlacementMap
 from repro.core.tables import ProfileTable
-from repro.engine.liked_matrix import ItemVocabulary, LikedMatrix, MemoryPolicy
+from repro.engine.liked_matrix import ItemVocabulary, LikedMatrix
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ShardStats:
     The liveness fields are parent-side supervisor knowledge (workers
     cannot report their own death): ``alive`` is False for a shard
     whose worker is down, ``restarts`` counts its respawns, and
-    ``last_ping_ms`` is the latest v3 liveness probe's round trip
+    ``last_ping_ms`` is the latest liveness probe's round trip
     (-1.0 before the first probe).  In-process shards are trivially
     alive and never restart.
     """
@@ -64,7 +64,6 @@ class ShardStats:
     alive: bool = True  # worker answering (always True in-process)
     restarts: int = 0  # respawns of this shard's worker
     last_ping_ms: float = -1.0  # last liveness probe RTT (-1: never)
-    evictions: int = 0  # rows dropped by the memory policy
     arena_capacity: int = 0  # allocated arena cells (0: not reported)
 
 
@@ -76,7 +75,6 @@ class ShardedLikedMatrix:
         table: ProfileTable,
         num_shards: int,
         placement: PlacementMap | None = None,
-        memory: MemoryPolicy | None = None,
     ) -> None:
         self._table = table
         self.placement = (
@@ -84,11 +82,6 @@ class ShardedLikedMatrix:
         )
         if self.placement.num_shards != num_shards:
             raise ValueError("placement and num_shards disagree")
-        #: Bounded-memory policy applied to every shard.  The row cap
-        #: is *per shard* (each shard evicts its own LRU tail); an
-        #: evicted row warm-rebuilds from the shared table on its next
-        #: read, which also covers rows arriving via bucket migration.
-        self.memory = memory
         #: One vocabulary for all shards: column indices agree across
         #: the cluster, so queries map to columns once per request and
         #: per-shard popularity counts merge with a single histogram.
@@ -99,7 +92,6 @@ class ShardedLikedMatrix:
                 subscribe=False,
                 row_filter=self._owner_filter(shard),
                 vocab=self.vocab,
-                memory=memory,
             )
             for shard in range(num_shards)
         ]
@@ -164,15 +156,14 @@ class ShardedLikedMatrix:
 
     # --- elastic topology ---------------------------------------------------
 
-    def add_shard(self, migrate: bool = True) -> int:
-        """Grow by one shard; returns the new shard's index.
+    def add_shard(self) -> int:
+        """Join one empty shard; returns its index.
 
         The in-process join is free: the new :class:`LikedMatrix`
         shares the table and vocabulary and materializes rows lazily,
         so it starts empty *and correct* -- it owns no buckets until
-        migrations hand it some.  With ``migrate=True`` its rendezvous
-        share moves in immediately (each move an epoch-bumped
-        :meth:`migrate_bucket`).
+        :meth:`migrate_bucket` hands it some (the coordinator moves
+        its rendezvous share in).
         """
         with self._lock:
             shard = self.placement.add_shard()
@@ -182,32 +173,19 @@ class ShardedLikedMatrix:
                     subscribe=False,
                     row_filter=self._owner_filter(shard),
                     vocab=self.vocab,
-                    memory=self.memory,
                 )
             )
-        if migrate:
-            for bucket in self.placement.rendezvous_share(shard).tolist():
-                if self.placement.owner_of(bucket) != shard:
-                    self.migrate_bucket(int(bucket), shard)
         return shard
 
     def remove_shard(self) -> int:
-        """Drain and retire the last shard; returns the retired index.
+        """Retire the last, already drained shard; returns its index.
 
-        Every bucket it owns is first migrated to its rendezvous
-        winner among the survivors, then the (now rowless) matrix is
-        dropped and the placement shrinks.
+        The caller migrates its buckets away first;
+        :meth:`PlacementMap.remove_last_shard` refuses a shard that
+        still owns any.
         """
-        if self.placement.num_shards < 2:
-            raise ValueError("cannot remove the only shard")
-        shard = self.placement.num_shards - 1
-        survivors = self.placement.num_shards - 1
-        for bucket in self.placement.buckets_owned_by(shard).tolist():
-            self.migrate_bucket(
-                int(bucket), rendezvous_owner(int(bucket), survivors)
-            )
         with self._lock:
-            self.placement.remove_last_shard()
+            shard = self.placement.remove_last_shard()
             self.shards.pop()
         return shard
 
@@ -252,19 +230,15 @@ class ShardedLikedMatrix:
                 arena_garbage=matrix.arena_garbage,
                 writes=matrix.writes_applied,
                 compactions=matrix.compactions,
-                evictions=matrix.evictions,
                 arena_capacity=matrix.arena_capacity,
             )
             for index, matrix in enumerate(self.shards)
         )
 
-    def memory_stats(self) -> dict[str, int | str]:
+    def memory_stats(self) -> dict[str, int]:
         """Cluster-wide memory accounting, summed over the shards."""
-        totals: dict[str, int | str] = {}
+        totals: dict[str, int] = {}
         for matrix in self.shards:
             for key, value in matrix.memory_stats().items():
-                if isinstance(value, str):
-                    totals[key] = value
-                else:
-                    totals[key] = int(totals.get(key, 0)) + value
+                totals[key] = totals.get(key, 0) + value
         return totals

@@ -9,7 +9,7 @@ policy layer that turns those low-level failures into recoveries:
   under a socket deadline (``worker_timeout``), so a dead or wedged
   worker surfaces as a :class:`~repro.cluster.transport.TransportError`
   or ``OSError`` at the next exchange.  :meth:`ping` adds an active
-  probe (protocol-v3 ``Ping``/``Pong``) whose round-trip time is the
+  probe (``Ping``/``Pong``) whose round-trip time is the
   per-worker health signal surfaced in ``ServerStats``.
 * **Recovery** (:meth:`recover`) re-forks the dead shard's worker and
   warm-starts it from the coordinator-side replay log -- the parent
@@ -120,7 +120,7 @@ class WorkerSupervisor:
         )
 
     def ping(self, shard: int) -> float:
-        """Round-trip a v3 liveness probe; returns the latency in ms.
+        """Round-trip a liveness probe; returns the latency in ms.
 
         Raises :class:`TransportError` (or ``OSError``) when the worker
         is dead, wedged past ``worker_timeout``, or answers with the

@@ -45,7 +45,7 @@ Message flow (parent ``->`` worker unless noted):
   the parent forwards verbatim to the new owner.  Both frames carry
   the epoch the move creates; workers insist it advances their local
   epoch by exactly one (a skipped epoch means a lost frame).
-* :class:`SplitBuckets` -- v5 elastic topology: refine the bucket
+* :class:`SplitBuckets` -- elastic topology: refine the bucket
   space to a multiple of its current size.  Splitting relies on the
   modulo stability of the bucket hash (``mix(uid) % kN`` is congruent
   to ``mix(uid) % N`` mod ``N``), so no user changes owner at split
@@ -59,7 +59,7 @@ Message flow (parent ``->`` worker unless noted):
   uses the round-trip time as the per-worker health signal surfaced
   in ``ServerStats``.
 * :class:`MetricsRequest` / :class:`MetricsSnapshot` (worker ``->``
-  parent) -- v4 observability pull: the worker flattens its local
+  parent) -- observability pull: the worker flattens its local
   :class:`~repro.obs.registry.MetricsRegistry` snapshot into
   :class:`WireSample` rows (counters, gauges, and histograms with
   their bucket bounds), which the parent merges into the
@@ -88,29 +88,13 @@ import numpy as np
 from repro.cluster.scoring import ShardSlice, WirePartial
 
 PROTOCOL_MAGIC = b"HY"
-#: v2 added the movable-placement fields: Hello's bucket count and
-#: routing epoch, JobSlices' epoch stamp, and the MapUpdate/Handoff
-#: frame family.  v3 added the Ping/Pong liveness probes the worker
-#: supervisor drives.  v4 added the observability layer: Hello's
-#: ``flags`` (metrics enable), JobSlices' trace context, Partials'
-#: measured worker spans, and the MetricsRequest/MetricsSnapshot pull.
-#: v5 added the elastic-topology frame: SplitBuckets refines the
-#: bucket space live (shard joins and retires need no frame of their
-#: own -- a join is an ordinary Hello, a retire an ordinary Shutdown,
-#: and every byte of data motion rides the existing handoff family).
-#: v6 added the bounded-memory policy: Hello ships the eviction knobs
-#: (row cap + TTL) and the int32-narrowing flag so every worker runs
-#: the coordinator's exact :class:`~repro.engine.liked_matrix.MemoryPolicy`,
-#: and StatsReply grew eviction/arena-capacity counters.
-PROTOCOL_VERSION = 6
+#: Workers fork from the same build as their coordinator, so exactly
+#: one version is spoken; a foreign version byte is a framing error.
+PROTOCOL_VERSION = 7
 
 #: Hello ``flags`` bit: the worker should run a live metrics registry
 #: and answer :class:`MetricsRequest` with non-empty snapshots.
 HELLO_FLAG_METRICS = 1
-
-#: Hello ``flags`` bit (v6): store the shard matrix's arena, postings
-#: and rated rows as int32 (see ``MemoryPolicy.narrow_dtypes``).
-HELLO_FLAG_NARROW = 2
 
 #: Upper bound on one frame's payload (a sanity valve against corrupt
 #: length fields, not a protocol feature): 1 GiB.
@@ -235,16 +219,9 @@ class Hello:
     ``num_buckets`` and ``map_version`` seed the worker's view of the
     movable placement map: the bucket count lets it select a handed-off
     bucket's users locally, and the version is the routing epoch all
-    subsequent stamped frames are validated against.  ``flags`` (v4)
+    subsequent stamped frames are validated against.  ``flags``
     carries feature bits -- :data:`HELLO_FLAG_METRICS` turns the
-    worker's metrics registry on, :data:`HELLO_FLAG_NARROW` (v6)
-    narrows its matrix storage to int32.
-
-    ``evict_max_rows`` / ``evict_ttl_ms`` (v6) ship the coordinator's
-    row-eviction policy: the worker applies them to its shard matrix
-    before acknowledging Ready, so a warm-started *or respawned*
-    worker always serves under the configured memory bounds.  The TTL
-    travels as integer milliseconds to keep the frame scalar-only.
+    worker's metrics registry on.
     """
 
     shard: int
@@ -252,8 +229,6 @@ class Hello:
     num_buckets: int = 0
     map_version: int = 0
     flags: int = 0
-    evict_max_rows: int = 0
-    evict_ttl_ms: int = 0
 
     def _pack(self) -> bytes:
         return (
@@ -262,8 +237,6 @@ class Hello:
             + _pack_scalar(self.num_buckets)
             + _pack_scalar(self.map_version)
             + _pack_scalar(self.flags)
-            + _pack_scalar(self.evict_max_rows)
-            + _pack_scalar(self.evict_ttl_ms)
         )
 
     @classmethod
@@ -273,8 +246,6 @@ class Hello:
         num_buckets, offset = _unpack_scalar(buf, offset)
         map_version, offset = _unpack_scalar(buf, offset)
         flags, offset = _unpack_scalar(buf, offset)
-        evict_max_rows, offset = _unpack_scalar(buf, offset)
-        evict_ttl_ms, offset = _unpack_scalar(buf, offset)
         return (
             cls(
                 shard=shard,
@@ -282,8 +253,6 @@ class Hello:
                 num_buckets=num_buckets,
                 map_version=map_version,
                 flags=flags,
-                evict_max_rows=evict_max_rows,
-                evict_ttl_ms=evict_ttl_ms,
             ),
             offset,
         )
@@ -357,7 +326,7 @@ class JobSlices:
     stale stamp means the frame crossed a migration it should not
     have).
 
-    ``trace_id`` / ``trace_parent`` (v4) carry the coordinator's trace
+    ``trace_id`` / ``trace_parent`` carry the coordinator's trace
     context when request tracing is on: the worker measures its score
     span under this parent and ships it back on the :class:`Partials`
     reply, so both sides of the process boundary stitch into one
@@ -438,7 +407,7 @@ class JobSlices:
 
 @dataclass(frozen=True)
 class WireSpan:
-    """One span measured inside a worker process (v4).
+    """One span measured inside a worker process.
 
     Attached to a :class:`Partials` reply when the triggering
     :class:`JobSlices` frame carried a trace context.  ``start_us`` /
@@ -491,7 +460,7 @@ class WireSpan:
 class Partials:
     """Worker -> parent: per-job wire partials for one batch.
 
-    ``spans`` (v4) carries the worker's measured score spans when the
+    ``spans`` carries the worker's measured score spans when the
     batch was traced; it is always empty for untraced batches, so the
     frame's request payload is byte-identical with tracing off.
     """
@@ -572,11 +541,9 @@ class StatsRequest:
 class StatsReply:
     """Worker -> parent: one shard's ``ShardStats`` fields.
 
-    ``evictions`` / ``arena_capacity`` (v6) surface the worker-side
-    memory picture: rows dropped by the shard's
-    :class:`~repro.engine.liked_matrix.MemoryPolicy` and the allocated
-    arena cells (capacity, not just live entries -- the number that
-    actually bounds resident bytes).
+    ``arena_capacity`` is the allocated arena cells (capacity, not
+    just live entries -- the number that actually bounds resident
+    bytes).
     """
 
     users: int
@@ -585,7 +552,6 @@ class StatsReply:
     writes: int
     compactions: int
     pid: int
-    evictions: int = 0
     arena_capacity: int = 0
 
     def _pack(self) -> bytes:
@@ -598,7 +564,6 @@ class StatsReply:
                 self.writes,
                 self.compactions,
                 self.pid,
-                self.evictions,
                 self.arena_capacity,
             )
         )
@@ -607,7 +572,7 @@ class StatsReply:
     def _unpack(cls, buf: bytes) -> tuple["StatsReply", int]:
         values = []
         offset = 0
-        for _ in range(8):
+        for _ in range(7):
             value, offset = _unpack_scalar(buf, offset)
             values.append(value)
         return cls(*values), offset
@@ -706,7 +671,7 @@ class HandoffData:
 
 @dataclass(frozen=True)
 class SplitBuckets:
-    """Parent -> worker: refine the bucket space in place (v5).
+    """Parent -> worker: refine the bucket space in place.
 
     ``num_buckets`` is the *new* bucket count -- an exact multiple of
     the worker's current one, because bucket refinement relies on
@@ -735,7 +700,7 @@ class SplitBuckets:
 
 @dataclass(frozen=True)
 class Ping:
-    """Parent -> worker: liveness probe (v3).
+    """Parent -> worker: liveness probe.
 
     ``nonce`` is an arbitrary caller-chosen value the worker must echo
     back, so a reply can never be confused with a stale probe's.
@@ -754,7 +719,7 @@ class Ping:
 
 @dataclass(frozen=True)
 class Pong:
-    """Worker -> parent: probe echo plus the worker's identity (v3).
+    """Worker -> parent: probe echo plus the worker's identity.
 
     Echoing ``shard`` and ``pid`` lets the supervisor assert the reply
     came from the worker it probed, not a misrouted or stale peer.
@@ -781,7 +746,7 @@ class Pong:
 
 @dataclass(frozen=True)
 class MetricsRequest:
-    """Parent -> worker: ask for the shard's metrics snapshot (v4)."""
+    """Parent -> worker: ask for the shard's metrics snapshot."""
 
     def _pack(self) -> bytes:
         return b""
@@ -842,7 +807,7 @@ class WireSample:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """Worker -> parent: the shard registry's full snapshot (v4)."""
+    """Worker -> parent: the shard registry's full snapshot."""
 
     shard: int
     samples: tuple[WireSample, ...]

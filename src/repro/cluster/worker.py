@@ -39,7 +39,6 @@ from repro.cluster.placement import bucket_of_id
 from repro.cluster.scoring import score_slices, to_wire_partial
 from repro.cluster.transport import (
     HELLO_FLAG_METRICS,
-    HELLO_FLAG_NARROW,
     Channel,
     ConnectionClosedError,
     HandoffData,
@@ -65,7 +64,7 @@ from repro.cluster.transport import (
     WriteBatch,
 )
 from repro.core.tables import ProfileTable
-from repro.engine.liked_matrix import ItemVocabulary, LikedMatrix, MemoryPolicy
+from repro.engine.liked_matrix import ItemVocabulary, LikedMatrix
 from repro.obs.exposition import sample_to_wire_parts
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import salted_id
@@ -168,18 +167,6 @@ class ShardHost:
                 enabled=bool(msg.flags & HELLO_FLAG_METRICS)
             )
             self._bind_metrics()
-            # Apply the coordinator's memory policy (v6) before Ready:
-            # warm-start replay and every subsequent write then run
-            # under the configured bounds, respawns included.
-            narrow = bool(msg.flags & HELLO_FLAG_NARROW)
-            if msg.evict_max_rows or msg.evict_ttl_ms or narrow:
-                self.matrix.set_memory_policy(
-                    MemoryPolicy(
-                        max_resident_rows=msg.evict_max_rows,
-                        ttl_seconds=msg.evict_ttl_ms / 1000.0,
-                        narrow_dtypes=narrow,
-                    )
-                )
             return Ready(shard=self.shard, pid=os.getpid())
         if isinstance(msg, Shutdown):
             return None
@@ -245,7 +232,7 @@ class ShardHost:
             )
 
     def _apply_split(self, msg: SplitBuckets) -> None:
-        """Refine the local bucket count (v5 elastic topology).
+        """Refine the local bucket count (elastic topology).
 
         The new count must be an exact multiple of the current one --
         that is the modulo-stability precondition under which no user
@@ -436,7 +423,6 @@ class ShardHost:
             writes=matrix.writes_applied,
             compactions=matrix.compactions,
             pid=os.getpid(),
-            evictions=matrix.evictions,
             arena_capacity=matrix.arena_capacity,
         )
 

@@ -158,26 +158,6 @@ class HyRecConfig:
         http_retry_after: HTTP front door only: whole seconds clients
             are told to back off in the ``Retry-After`` header of a
             shed response.
-        evict_max_rows: Array engines only: maximum user rows kept
-            resident per :class:`~repro.engine.liked_matrix.LikedMatrix`
-            (the sharded engine applies it *per shard*).  Beyond the
-            cap, least-recently-active rows are evicted back to arena
-            garbage and warm-rebuild lazily from the
-            :class:`~repro.core.tables.ProfileTable` -- the source of
-            truth -- on their next read, so results never change.
-            ``0`` (the default) disables eviction and preserves the
-            classic keep-everything behaviour bit-for-bit.
-        evict_ttl_s: Array engines only: seconds a resident row may
-            stay idle (no write, direct read, or rematerialization)
-            before eviction reclaims it.  Combines with
-            ``evict_max_rows``; ``0`` (the default) disables the TTL.
-            Like the cap, this is a memory knob, never a results knob.
-        narrow_dtypes: Array engines only: store liked-matrix arenas,
-            postings and rated rows as int32 instead of int64, halving
-            their footprint.  Exact -- and therefore bit-for-bit
-            parity-preserving, wire bytes included -- while user ids
-            and item-column counts fit in 31 bits, which the write
-            path enforces.  Off by default.
     """
 
     k: int = 10
@@ -214,9 +194,6 @@ class HyRecConfig:
     cache_capacity: int = 1024
     http_max_pending: int = 64
     http_retry_after: int = 1
-    evict_max_rows: int = 0
-    evict_ttl_s: float = 0.0
-    narrow_dtypes: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -345,13 +322,5 @@ class HyRecConfig:
             raise ValueError(
                 "http_retry_after cannot be negative, got "
                 f"{self.http_retry_after}"
-            )
-        if self.evict_max_rows < 0:
-            raise ValueError(
-                f"evict_max_rows cannot be negative, got {self.evict_max_rows}"
-            )
-        if self.evict_ttl_s < 0:
-            raise ValueError(
-                f"evict_ttl_s cannot be negative, got {self.evict_ttl_s}"
             )
         get_metric(self.metric)  # fail fast on unknown metrics

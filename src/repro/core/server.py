@@ -31,7 +31,7 @@ from repro.core.profiles import Profile
 from repro.core.sampler import HyRecSampler
 from repro.core.tables import KnnTable, ProfileTable
 from repro.engine.jobs import EngineJob
-from repro.engine.liked_matrix import LikedMatrix, MemoryPolicy
+from repro.engine.liked_matrix import LikedMatrix
 from repro.messages import (
     FragmentGzipWriter,
     MessageMeter,
@@ -118,21 +118,6 @@ class HyRecServer:
             num_random=self.config.num_random,
         )
         self.anonymizer = AnonymousMapping(seed=derive_seed_for_anonymizer(seed))
-        #: Bounded-memory policy for the array engines, built from the
-        #: eviction/narrowing config knobs; ``None`` when every knob is
-        #: at its (bit-for-bit-parity) default.
-        memory_policy = None
-        if (
-            self.config.evict_max_rows
-            or self.config.evict_ttl_s
-            or self.config.narrow_dtypes
-        ):
-            memory_policy = MemoryPolicy(
-                max_resident_rows=self.config.evict_max_rows,
-                ttl_seconds=self.config.evict_ttl_s,
-                narrow_dtypes=self.config.narrow_dtypes,
-            )
-        self.memory_policy = memory_policy
         #: The deployment's shared observability: metrics registry,
         #: request tracer, and event log -- one instance threaded
         #: through the cluster layers, so worker-process samples and
@@ -142,9 +127,7 @@ class HyRecServer:
         #: incrementally from ProfileTable writes.  Only materialized
         #: for the vectorized engine; ``None`` on the other engines.
         self.liked_matrix: LikedMatrix | None = (
-            LikedMatrix(
-                self.profiles, memory=memory_policy, events=self.obs.events
-            )
+            LikedMatrix(self.profiles, events=self.obs.events)
             if self.config.engine == "vectorized"
             else None
         )
@@ -185,10 +168,8 @@ class HyRecServer:
                     retry_backoff=self.config.retry_backoff,
                     degraded_reads=self.config.degraded_reads,
                     obs=self.obs,
-                    memory=memory_policy,
                 ),
                 obs=self.obs,
-                memory=memory_policy,
             )
             # Constructed after the coordinator so its write listener
             # fires after the engine's own router: by the time a

@@ -33,41 +33,21 @@ profile's popularity mass instead of the candidate count.
 
 Memory model
 ------------
-The matrix is a *cache* over the table, and at million-user scale it
-must behave like one.  A :class:`MemoryPolicy` (off by default -- the
-default configuration is bit-for-bit identical to the uncapped matrix)
-adds three bounded-memory levers:
-
-* **Row eviction.**  With ``max_resident_rows`` and/or ``ttl_seconds``
-  set, materialized rows carry a recency stamp (last write, direct
-  row read, or materialization) in an ordered LRU dict.  Rows over the
-  cap -- or idle past the TTL -- are dropped back to garbage; the
-  :class:`~repro.core.tables.ProfileTable` remains the source of
-  truth, so an evicted row *warm-rebuilds* lazily on its next read via
-  :meth:`_materialize`.  Eviction never runs while a gather loop is
-  mid-flight (``_gather_depth``), so CSR offsets handed to numpy are
-  never invalidated under a caller.
-* **Shrinking compaction.**  :meth:`_compact` releases capacity when
-  the live footprint drops well below it (2x hysteresis over the
-  usual 2x-live target), so evicting rows actually returns memory
-  instead of leaving a high-water-mark arena behind.
-* **Dtype narrowing.**  ``narrow_dtypes`` stores the arena, postings
-  and rated rows as int32 (half the footprint).  Column indices are
-  dense interned ints and user ids are checked against the int32
-  range on the write path, so values are exactly representable and
-  every kernel result -- and the int64 wire encoding -- is bit-for-bit
-  unchanged.
-
-Postings are deliberately *not* evicted: they mirror live table state
-(not resident rows), so the CSC kernel stays exact while CSR rows come
-and go.
+The matrix is a derived index over the table, which stays the source
+of truth.  A row is *absent* until first read, then *resident* in the
+arena; a write updates it in place, and :meth:`refresh` (or a shard
+migration) *invalidates* it back to garbage, to be *rebuilt* lazily
+from the table on its next read.  :meth:`_compact` both grows the
+arena and shrinks it once the live footprint drops well below the
+allocation, so rows drained off a shard hand their memory back.
+Postings mirror live table state, not resident rows, and are never
+dropped.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Callable, Collection, Sequence
 
@@ -78,10 +58,6 @@ from repro.engine.kernels import segment_sums
 from repro.obs.events import EventLog
 
 _EMPTY = np.zeros(0, dtype=np.int64)
-
-#: Largest value an int32 cell can hold; user ids must stay under this
-#: for ``narrow_dtypes`` to be sound (checked on the write path).
-_INT32_MAX = 2**31 - 1
 
 #: Dense-id threshold for the CSC bincount: a dense count array is
 #: allowed when the id span is at most ``max(65536, 8 * n)`` for ``n``
@@ -94,40 +70,6 @@ _DENSE_ID_FLOOR = 1 << 16
 def _dense_id_ok(span: int, participants: int) -> bool:
     """True if a length-``span`` dense count array is proportionate."""
     return span <= max(_DENSE_ID_FLOOR, 8 * participants)
-
-
-@dataclass(frozen=True)
-class MemoryPolicy:
-    """Bounded-memory levers for a :class:`LikedMatrix`.
-
-    The zero policy (all defaults) is behaviourally identical to no
-    policy at all; parity suites run with eviction off and narrowing
-    off, and every lever is individually opt-in.
-
-    Attributes:
-        max_resident_rows: Evict least-recently-used rows beyond this
-            many resident users (0 = uncapped).
-        ttl_seconds: Evict rows idle longer than this (0 = no TTL).
-            Idleness is measured against the injected ``clock`` --
-            recency refreshes on writes, direct row reads, and
-            (re)materializations.
-        narrow_dtypes: Store arena / postings / rated rows as int32
-            instead of int64.  Exact while user ids and column counts
-            fit int32 (enforced on the write path).
-    """
-
-    max_resident_rows: int = 0
-    ttl_seconds: float = 0.0
-    narrow_dtypes: bool = False
-
-    @property
-    def evicts(self) -> bool:
-        """Whether this policy ever drops resident rows."""
-        return self.max_resident_rows > 0 or self.ttl_seconds > 0.0
-
-    def dtype(self) -> np.dtype:
-        """Storage dtype this policy selects for row/posting arrays."""
-        return np.dtype(np.int32 if self.narrow_dtypes else np.int64)
 
 
 class ItemVocabulary:
@@ -237,8 +179,6 @@ class LikedMatrix:
         subscribe: bool = True,
         row_filter: Callable[[int], bool] | None = None,
         vocab: ItemVocabulary | None = None,
-        memory: MemoryPolicy | None = None,
-        clock: Callable[[], float] = time.monotonic,
         events: EventLog | None = None,
     ) -> None:
         """
@@ -258,11 +198,6 @@ class LikedMatrix:
             vocab: Item vocabulary to intern columns in.  Defaults to
                 a private one; the sharded engine passes one shared
                 instance to all shards so columns agree across them.
-            memory: Bounded-memory policy (eviction + narrowing); see
-                :class:`MemoryPolicy`.  ``None`` keeps the classic
-                unbounded, int64 behaviour bit-for-bit.
-            clock: Monotonic time source for TTL recency stamps
-                (injectable for deterministic tests).
             events: Where cold-path work reports itself: a
                 ``postings_rebuild`` event, with its duration, per
                 rebuild of the CSC index.
@@ -270,20 +205,9 @@ class LikedMatrix:
         self._table = table
         self._row_filter = row_filter
         self.vocab = vocab if vocab is not None else ItemVocabulary()
-        self._memory = memory
-        self._clock = clock
         self._events = events
-        self._dtype = (
-            memory.dtype() if memory is not None else np.dtype(np.int64)
-        )
-        self._evict_enabled = memory is not None and memory.evicts
-        # Recency (LRU) order over resident users: dict insertion order
-        # is eviction order, values are last-touch clock stamps for the
-        # TTL sweep.  Empty -- and never touched -- when eviction is off.
-        self._lru: dict[int, float] = {}
-        self._gather_depth = 0
         # CSR arena: row segments are arena[start : start + length].
-        self._arena = np.zeros(max(16, initial_capacity), dtype=self._dtype)
+        self._arena = np.zeros(max(16, initial_capacity), dtype=np.int64)
         self._used = 0
         self._garbage = 0
         self._start: dict[int, int] = {}
@@ -303,7 +227,6 @@ class LikedMatrix:
         self._post_len: list[int] = []
         self._postings_dirty = True
         self.compactions = 0
-        self.evictions = 0
         self.writes_applied = 0
         if subscribe:
             table.add_listener(self._on_record)
@@ -338,11 +261,6 @@ class LikedMatrix:
         """Allocated arena cells (live + garbage + free tail)."""
         return self._arena.size
 
-    @property
-    def memory_policy(self) -> MemoryPolicy | None:
-        """The active bounded-memory policy, if any."""
-        return self._memory
-
     def column_of(self, item: int) -> int:
         """Column index of ``item``, interning it on first sight."""
         return self.vocab.intern(item)
@@ -363,96 +281,10 @@ class LikedMatrix:
         (correctly) empty postings here.
         """
         while len(self._postings) < len(self.vocab):
-            self._postings.append(np.zeros(4, dtype=self._dtype))
+            self._postings.append(np.zeros(4, dtype=np.int64))
             self._post_len.append(0)
 
-    # --- memory policy ------------------------------------------------------
-
-    def set_memory_policy(self, memory: MemoryPolicy | None) -> None:
-        """Install (or clear) the bounded-memory policy at runtime.
-
-        Used by shard workers, which construct their matrix before the
-        coordinator's Hello delivers the configured policy.  Switching
-        the storage dtype converts the arena, postings and rated rows
-        in place; narrowing verifies every stored id fits int32 first.
-        """
-        new_dtype = (
-            memory.dtype() if memory is not None else np.dtype(np.int64)
-        )
-        if new_dtype != self._dtype:
-            if new_dtype == np.int32:
-                self._check_narrowable()
-            self._arena = self._arena.astype(new_dtype)
-            self._postings = [p.astype(new_dtype) for p in self._postings]
-            self._rated_rows = {
-                uid: row.astype(new_dtype)
-                for uid, row in self._rated_rows.items()
-            }
-            self._dtype = new_dtype
-        self._memory = memory
-        self._evict_enabled = memory is not None and memory.evicts
-        if self._evict_enabled:
-            # Adopt already-resident rows into the recency order so the
-            # cap applies to them too (stamped "now": they were alive
-            # the moment the policy arrived).
-            now = self._clock()
-            for uid in self._start:
-                self._lru.setdefault(uid, now)
-            for uid in self._rated_rows:
-                self._lru.setdefault(uid, now)
-            self._enforce_memory()
-        else:
-            self._lru.clear()
-
-    def _check_narrowable(self) -> None:
-        """Raise unless every stored id/column fits in int32."""
-        if self._used and int(self._arena[: self._used].max()) > _INT32_MAX:
-            raise ValueError("arena columns exceed the int32 range")
-        for col, posting in enumerate(self._postings):
-            length = self._post_len[col]
-            if length and int(posting[:length].max()) > _INT32_MAX:
-                raise ValueError("posting user ids exceed the int32 range")
-
-    def _touch(self, user_id: int) -> None:
-        """Move ``user_id`` to the back of the recency order."""
-        lru = self._lru
-        lru.pop(user_id, None)
-        lru[user_id] = self._clock()
-
-    def _evict_row(self, user_id: int) -> None:
-        """Drop a resident row; it warm-rebuilds from the table on read."""
-        self._invalidate(user_id)
-        self.evictions += 1
-
-    def _enforce_memory(self) -> None:
-        """Apply TTL + cap eviction, then reclaim arena garbage.
-
-        Never runs mid-gather (``_gather_depth``): evicting or
-        compacting there would invalidate arena offsets already
-        collected for the numpy fancy index.  The most recently touched
-        row always survives (cap >= 1, and a fresh stamp beats any
-        TTL cutoff), so callers may touch-then-enforce around a row
-        they are about to return.
-        """
-        if not self._evict_enabled or self._gather_depth:
-            return
-        policy = self._memory
-        lru = self._lru
-        if policy.ttl_seconds > 0.0 and lru:
-            cutoff = self._clock() - policy.ttl_seconds
-            while lru:
-                user_id = next(iter(lru))
-                if lru[user_id] > cutoff:
-                    break
-                self._evict_row(user_id)
-        cap = policy.max_resident_rows
-        if cap > 0:
-            while len(lru) > cap:
-                self._evict_row(next(iter(lru)))
-        if self._garbage > max(1024, self._used - self._garbage):
-            self._compact(0)
-
-    def memory_stats(self) -> dict[str, int | str]:
+    def memory_stats(self) -> dict[str, int]:
         """Point-in-time memory accounting for benchmarks and /stats."""
         postings_bytes = sum(p.nbytes for p in self._postings)
         rated_bytes = sum(r.nbytes for r in self._rated_rows.values())
@@ -465,9 +297,8 @@ class LikedMatrix:
             "arena_bytes": int(self._arena.nbytes),
             "postings_bytes": int(postings_bytes),
             "rated_bytes": int(rated_bytes),
-            "evictions": self.evictions,
+            "evictions": 0,  # rows are never evicted; key kept for readers
             "compactions": self.compactions,
-            "dtype": str(self._dtype),
         }
 
     # --- write propagation --------------------------------------------------
@@ -494,7 +325,7 @@ class LikedMatrix:
         if rated is not None and previous is None:
             length = self._rated_len[user_id]
             if length == rated.size:
-                grown = np.zeros(max(4, 2 * rated.size), dtype=self._dtype)
+                grown = np.zeros(max(4, 2 * rated.size), dtype=np.int64)
                 grown[:length] = rated[:length]
                 self._rated_rows[user_id] = rated = grown
             rated[length] = col
@@ -504,10 +335,6 @@ class LikedMatrix:
                 self._posting_append(col, user_id)
             elif liked_before and not liked_now:
                 self._posting_remove(col, user_id)
-        if self._evict_enabled:
-            if user_id in self._length or user_id in self._rated_rows:
-                self._touch(user_id)
-            self._enforce_memory()
 
     def apply_write(
         self, user_id: int, item: int, value: float, previous: float | None
@@ -538,7 +365,6 @@ class LikedMatrix:
             self._garbage += length
         self._rated_rows.pop(user_id, None)
         self._rated_len.pop(user_id, None)
-        self._lru.pop(user_id, None)
 
     def _row_append(self, user_id: int, col: int) -> None:
         """Re-slice the user's liked row with ``col`` appended."""
@@ -582,7 +408,7 @@ class LikedMatrix:
         Capacity targets 2x the live footprint.  It never shrinks by
         less than half the current allocation (hysteresis), so steady
         workloads keep the classic grow-only behaviour while bulk
-        eviction actually hands memory back.
+        invalidation (rows drained off a shard) hands memory back.
         """
         live = self._used - self._garbage
         target = max(2 * (live + extra), 16)
@@ -590,7 +416,7 @@ class LikedMatrix:
             capacity = target
         else:
             capacity = max(self._arena.size, target)
-        fresh = np.zeros(capacity, dtype=self._dtype)
+        fresh = np.zeros(capacity, dtype=np.int64)
         cursor = 0
         for uid, start in self._start.items():
             length = self._length[uid]
@@ -616,8 +442,6 @@ class LikedMatrix:
         self._used += length
         self._start[user_id] = start
         self._length[user_id] = length
-        if self._evict_enabled:
-            self._touch(user_id)
 
     # --- rows ---------------------------------------------------------------
 
@@ -625,11 +449,6 @@ class LikedMatrix:
         """Column indices of the user's liked items (an arena view)."""
         if user_id not in self._start:
             self._materialize(user_id)
-        if self._evict_enabled:
-            # Refresh recency, then let eviction/compaction settle
-            # *before* slicing -- the just-touched row survives both.
-            self._touch(user_id)
-            self._enforce_memory()
         start = self._start[user_id]
         return self._arena[start : start + self._length[user_id]]
 
@@ -638,13 +457,9 @@ class LikedMatrix:
         row = self._rated_rows.get(user_id)
         if row is None:
             rated = self._table.get(user_id).rated_items()
-            row = self.vocab.intern_columns(rated).astype(self._dtype, copy=False)
+            row = self.vocab.intern_columns(rated)
             self._rated_rows[user_id] = row
             self._rated_len[user_id] = row.size
-            if self._evict_enabled:
-                self._touch(user_id)
-                self._enforce_memory()
-                row = self._rated_rows[user_id]
         return row[: self._rated_len[user_id]]
 
     def known_columns(self, items: Sequence[int]) -> np.ndarray:
@@ -656,8 +471,8 @@ class LikedMatrix:
 
         C-level dict probes straight into the array; a miss builds
         every cold row of the list and probes again.  Once this
-        returns, all of ``user_ids`` are in the arena and stay put
-        (callers hold ``_gather_depth``), so their offsets can be read.
+        returns, all of ``user_ids`` are in the arena and stay put, so
+        their offsets can be read.
         """
         length_of = self._length
         count = len(user_ids)
@@ -679,39 +494,24 @@ class LikedMatrix:
         total number of liked items, not the number of candidates.
         """
         count = len(user_ids)
-        self._gather_depth += 1
-        try:
-            # Sizes first: a cold row's materialization may compact the
-            # arena, so offsets are only read once every row is in.
-            sizes = self._resident_sizes(user_ids)
-            starts = np.fromiter(
-                map(self._start.__getitem__, user_ids), np.int64, count
-            )
-            indptr = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(sizes, out=indptr[1:])
-            total = int(indptr[-1])
-            if total == 0:
-                indices = _EMPTY
-            else:
-                positions = np.arange(total, dtype=np.int64)
-                positions += np.repeat(starts - indptr[:-1], sizes)
-                indices = self._arena.take(positions)  # a copy
-        finally:
-            self._gather_depth -= 1
-        if self._evict_enabled:
-            self._enforce_memory()
+        # Sizes first: a cold row's materialization may compact the
+        # arena, so offsets are only read once every row is in.
+        sizes = self._resident_sizes(user_ids)
+        starts = np.fromiter(map(self._start.__getitem__, user_ids), np.int64, count)
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        total = int(indptr[-1])
+        if total == 0:
+            indices = _EMPTY
+        else:
+            positions = np.arange(total, dtype=np.int64)
+            positions += np.repeat(starts - indptr[:-1], sizes)
+            indices = self._arena.take(positions)  # a copy
         return indices, indptr, sizes
 
     def liked_sizes(self, user_ids: Sequence[int]) -> np.ndarray:
         """``|L_u|`` per user, without assembling the CSR indices."""
-        self._gather_depth += 1
-        try:
-            sizes = self._resident_sizes(user_ids)
-        finally:
-            self._gather_depth -= 1
-        if self._evict_enabled:
-            self._enforce_memory()
-        return sizes
+        return self._resident_sizes(user_ids)
 
     # --- batched membership -------------------------------------------------
 
@@ -762,17 +562,12 @@ class LikedMatrix:
     # --- postings (CSC) -----------------------------------------------------
 
     def _posting_append(self, col: int, user_id: int) -> None:
-        if self._dtype.itemsize == 4 and user_id > _INT32_MAX:
-            raise ValueError(
-                f"user id {user_id} exceeds the int32 range; "
-                "narrow_dtypes requires ids below 2**31"
-            )
         if col >= len(self._postings):
             self._sync_postings()
         posting = self._postings[col]
         length = self._post_len[col]
         if length == posting.size:
-            grown = np.zeros(max(4, 2 * length), dtype=self._dtype)
+            grown = np.zeros(max(4, 2 * length), dtype=np.int64)
             grown[:length] = posting
             self._postings[col] = posting = grown
         posting[length] = user_id
@@ -802,11 +597,6 @@ class LikedMatrix:
         started = time.perf_counter()
         owns = self._row_filter
         users = list(self._table) if owns is None else list(filter(owns, self._table))
-        if self._dtype.itemsize == 4 and users and max(users) > _INT32_MAX:
-            raise ValueError(
-                f"user id {max(users)} exceeds the int32 range; "
-                "narrow_dtypes requires ids below 2**31"
-            )
         liked = [profile.liked_live() for profile in map(self._table.lookup(), users)]
         cols = self.vocab.intern_columns(list(chain.from_iterable(liked)))
         # Stable sort by column as two radix passes over 16-bit halves:
@@ -816,7 +606,7 @@ class LikedMatrix:
             ((cols & 0xFFFF).astype(np.uint16), (cols >> 16).astype(np.uint16))
         )
         likers = np.repeat(
-            np.asarray(users, dtype=self._dtype), list(map(len, liked))
+            np.asarray(users, dtype=np.int64), list(map(len, liked))
         )[order]
         per_col = np.bincount(cols, minlength=len(self.vocab)).tolist()
         del liked, cols, order

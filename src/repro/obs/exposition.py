@@ -8,7 +8,7 @@ Two jobs live here:
   what ``GET /metrics`` on :mod:`repro.web` serves.
 * :func:`sample_to_wire_parts` / :func:`sample_from_wire` convert
   between registry samples and the flat ``(kind, name, labels,
-  values, bounds)`` shape the protocol-v4 ``MetricsSnapshot`` frame
+  values, bounds)`` shape the protocol's ``MetricsSnapshot`` frame
   carries, so worker-process registries aggregate over the wire
   without this module ever importing the transport (the conversion is
   duck-typed on the wire sample's fields; the frame classes live in

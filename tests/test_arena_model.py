@@ -1,18 +1,18 @@
 """Model-based arena accounting test (hypothesis).
 
 Drives a :class:`~repro.engine.liked_matrix.LikedMatrix` through
-random interleavings of writes, un-likes, reads, gathers, TTL clock
-jumps and explicit compactions -- under an eviction policy -- and
-checks it against a dict-of-sets oracle after *every* step:
+random interleavings of writes, un-likes, reads, gathers, refreshes
+and explicit compactions, and checks it against a dict-of-sets oracle
+after *every* step:
 
 * ``arena_live`` equals the oracle mass of the resident rows exactly
   (not approximately: every superseded segment must be accounted as
-  garbage, every eviction must return its cells).
+  garbage, every invalidated row must return its cells).
 * ``arena_garbage``/``arena_entries``/``arena_capacity`` stay
-  consistent, and an explicit compaction drops garbage to zero.
+  consistent, and an explicit compaction drops garbage to zero and
+  shrinks the allocation to within 4x of the live footprint.
 * Rows and rated rows read back exactly the oracle state, including
-  rows rebuilt after an eviction.
-* The resident-row cap holds whenever eviction is enabled.
+  rows rebuilt after a refresh.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tables import ProfileTable
-from repro.engine.liked_matrix import LikedMatrix, MemoryPolicy
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
+from repro.engine.liked_matrix import LikedMatrix
 
 
 USERS = st.integers(0, 7)
@@ -42,29 +34,16 @@ OPS = st.one_of(
     st.tuples(st.just("read"), USERS),
     st.tuples(st.just("rated"), USERS),
     st.tuples(st.just("gather"), st.lists(USERS, max_size=5)),
-    st.tuples(st.just("advance"), st.integers(1, 20)),
+    st.tuples(st.just("refresh"), USERS),
     st.tuples(st.just("compact")),
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    ops=st.lists(OPS, max_size=60),
-    cap=st.integers(0, 4),
-    ttl=st.sampled_from([0.0, 12.0]),
-    narrow=st.booleans(),
-)
-def test_arena_accounting_matches_oracle(ops, cap, ttl, narrow):
-    clock = FakeClock()
-    policy = MemoryPolicy(
-        max_resident_rows=cap, ttl_seconds=ttl, narrow_dtypes=narrow
-    )
+@given(ops=st.lists(OPS, max_size=60))
+def test_arena_accounting_matches_oracle(ops):
     table = ProfileTable()
-    matrix = LikedMatrix(
-        table,
-        memory=policy if (policy.evicts or narrow) else None,
-        clock=clock,
-    )
+    matrix = LikedMatrix(table)
     liked: dict[int, set[int]] = {}
     rated: dict[int, set[int]] = {}
 
@@ -105,11 +84,14 @@ def test_arena_accounting_matches_oracle(ops, cap, ttl, narrow):
                 segment = indices[indptr[i] : indptr[i + 1]]
                 assert items_of(segment) == sorted(liked.get(uid, set()))
                 assert sizes[i] == len(liked.get(uid, set()))
-        elif kind == "advance":
-            clock.now += op[1]
+        elif kind == "refresh":
+            _, uid = op
+            matrix.refresh(uid)
+            assert uid not in matrix._start
         elif kind == "compact":
             matrix._compact(0)
             assert matrix.arena_garbage == 0
+            assert matrix.arena_capacity < max(4 * matrix.arena_live, 32)
 
         # --- invariants, after every single step -----------------------------
         stats = matrix.memory_stats()
@@ -122,11 +104,9 @@ def test_arena_accounting_matches_oracle(ops, cap, ttl, narrow):
             == stats["arena_live"] + stats["arena_garbage"]
         )
         assert stats["arena_capacity"] >= stats["arena_entries"]
-        if policy.evicts and cap > 0:
-            assert stats["rows_resident"] <= cap
 
     # Final read-back: every user the oracle knows, including all the
-    # evicted-and-rebuilt ones, must report exact state.
+    # refreshed-and-rebuilt ones, must report exact state.
     for uid in sorted(set(liked) | set(rated)):
         assert items_of(matrix.liked_row(uid)) == sorted(liked.get(uid, set()))
         assert items_of(matrix.rated_row(uid)) == sorted(rated.get(uid, set()))

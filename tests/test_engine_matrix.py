@@ -212,6 +212,30 @@ class TestLikedMatrix:
         }
         assert set(matrix.posting(11).tolist()) == {1}
 
+    def test_bulk_invalidation_returns_arena_capacity(self):
+        table = ProfileTable()
+        matrix = LikedMatrix(table)
+        for uid in range(200):
+            for item in range(20):
+                table.record(uid, item, 1.0)
+        for uid in range(200):
+            matrix.liked_row(uid)
+        before = matrix.arena_capacity
+        assert before >= 4000
+        for uid in range(4, 200):
+            matrix.refresh(uid)
+        matrix.liked_row(0)
+        table.record(0, 20, 1.0)  # the next append compacts
+        after = matrix.memory_stats()
+        assert after["rows_resident"] == 4
+        assert after["arena_capacity"] < before
+        # Only the re-sliced row's old segment is left as garbage.
+        assert after["arena_garbage"] == 20
+        # Shrinking never lost data: invalidated rows rebuild correctly.
+        assert sorted(matrix.item_array()[matrix.liked_row(5)].tolist()) == list(
+            range(20)
+        )
+
 
 def _reference_gather(matrix: LikedMatrix, ids: list[int]):
     """Row by row: the CSR triple ``gather_liked`` must reproduce."""
@@ -307,22 +331,15 @@ class TestVectorizedPostingsRebuild:
         table.get_or_create(777)  # a user without a single rating
         return table
 
-    @pytest.mark.parametrize("narrow", [False, True])
     @pytest.mark.parametrize("owns", [None, lambda uid: uid % 3 == 1])
-    def test_matches_per_like_reference(self, narrow, owns):
-        from repro.engine.liked_matrix import MemoryPolicy
-
+    def test_matches_per_like_reference(self, owns):
         table = self._table()
-        matrix = LikedMatrix(
-            table,
-            row_filter=owns,
-            memory=MemoryPolicy(narrow_dtypes=True) if narrow else None,
-        )
+        matrix = LikedMatrix(table, row_filter=owns)
         reference = _reference_postings(table, matrix, owns)
         for item in range(90):
             posting = matrix.posting(item)
             if posting.size:
-                assert posting.dtype == (np.int32 if narrow else np.int64)
+                assert posting.dtype == np.int64
             # Same users in the same (table) order as appending would give.
             assert posting.tolist() == reference.get(item, [])
 
@@ -338,17 +355,6 @@ class TestVectorizedPostingsRebuild:
                 reference.get(item, [])
             )
 
-    def test_narrow_rebuild_rejects_wide_user_ids(self):
-        from repro.engine.liked_matrix import MemoryPolicy
-
-        table = ProfileTable()
-        table.record(2**31, 1, 1.0)
-        matrix = LikedMatrix(
-            table, subscribe=False, memory=MemoryPolicy(narrow_dtypes=True)
-        )
-        with pytest.raises(ValueError, match="int32"):
-            matrix.posting(1)
-
     def test_rebuild_is_an_event_with_a_duration(self):
         from repro.obs.events import EventLog
 
@@ -361,6 +367,55 @@ class TestVectorizedPostingsRebuild:
         assert float(event.get("duration_ms")) >= 0.0
         assert int(event.get("likes")) == sum(
             matrix.posting(item).size for item in range(90)
+        )
+
+
+class TestSparseIdCsc:
+    """The CSC bincount must not allocate O(max user id) memory."""
+
+    def test_sparse_ids_use_compressed_counts(self):
+        # A handful of ten-digit user ids: the dense path would ask
+        # for a multi-gigabyte count array.  The compressed path must
+        # agree with the CSR scan exactly.
+        rng = random.Random(17)
+        table = ProfileTable()
+        matrix = LikedMatrix(table)
+        users = [10**12 + i * 10**7 for i in range(40)]
+        expected = {}
+        for uid in users:
+            items = rng.sample(range(30), rng.randrange(1, 12))
+            expected[uid] = set(items)
+            for item in items:
+                table.record(uid, item, 1.0)
+        query_items = list(range(0, 30, 2))
+        query = matrix.known_columns(query_items)
+        # Duplicate candidates exercise the inverse mapping.
+        candidates = users + users[:7]
+        csc = matrix.batch_intersections_csc(
+            query, np.asarray(candidates, dtype=np.int64)
+        )
+        indices, indptr, _ = matrix.gather_liked(candidates)
+        csr = matrix.batch_intersections(query, indices, indptr)
+        assert np.array_equal(csc, csr)
+        assert csc.tolist() == [
+            len(expected[uid] & set(query_items)) for uid in candidates
+        ]
+
+    def test_dense_ids_still_agree(self):
+        rng = random.Random(19)
+        table = ProfileTable()
+        matrix = LikedMatrix(table)
+        for uid in range(300):
+            for item in rng.sample(range(50), rng.randrange(1, 10)):
+                table.record(uid, item, 1.0)
+        query = matrix.known_columns(list(range(0, 50, 3)))
+        candidates = list(range(300))
+        csc = matrix.batch_intersections_csc(
+            query, np.asarray(candidates, dtype=np.int64)
+        )
+        indices, indptr, _ = matrix.gather_liked(candidates)
+        assert np.array_equal(
+            csc, matrix.batch_intersections(query, indices, indptr)
         )
 
 

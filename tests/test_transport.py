@@ -147,28 +147,17 @@ class TestRoundTrips:
         num_shards=st.integers(1, 4096),
         num_buckets=small_int,
         map_version=small_int,
-        evict_max_rows=small_int,
-        evict_ttl_ms=small_int,
+        flags=small_int,
     )
-    def test_hello(
-        self, shard, num_shards, num_buckets, map_version,
-        evict_max_rows, evict_ttl_ms,
-    ):
-        decoded = _roundtrip(
-            Hello(
-                shard=shard,
-                num_shards=num_shards,
-                num_buckets=num_buckets,
-                map_version=map_version,
-                evict_max_rows=evict_max_rows,
-                evict_ttl_ms=evict_ttl_ms,
-            )
+    def test_hello(self, shard, num_shards, num_buckets, map_version, flags):
+        msg = Hello(
+            shard=shard,
+            num_shards=num_shards,
+            num_buckets=num_buckets,
+            map_version=map_version,
+            flags=flags,
         )
-        assert decoded.shard == shard and decoded.num_shards == num_shards
-        assert decoded.num_buckets == num_buckets
-        assert decoded.map_version == map_version
-        assert decoded.evict_max_rows == evict_max_rows
-        assert decoded.evict_ttl_ms == evict_ttl_ms
+        assert _roundtrip(msg) == msg
 
     @given(shard=small_int, pid=small_int)
     def test_ready(self, shard, pid):
@@ -247,7 +236,7 @@ class TestRoundTrips:
         for got, sent in zip(decoded.partials, parts):
             assert _partials_equal(got, sent)
 
-    @given(values=st.lists(small_int, min_size=8, max_size=8))
+    @given(values=st.lists(small_int, min_size=7, max_size=7))
     def test_stats_reply(self, values):
         decoded = _roundtrip(StatsReply(*values))
         assert decoded == StatsReply(*values)
@@ -404,19 +393,16 @@ class TestRejection:
             right.close()
 
 
-# --- v3 liveness probes -----------------------------------------------------
+# --- liveness probes --------------------------------------------------------
 
 
 class TestLivenessFrames:
-    """Ping/Pong (protocol v3): the supervisor's active health probe."""
+    """Ping/Pong: the supervisor's active health probe."""
 
-    def test_protocol_version_is_6(self):
-        # v3 added Ping/Pong; v4 added the observability frames; v5
-        # added the bucket-space split; v6 widened Hello (memory
-        # policy) and StatsReply (eviction counters).  A bump without
-        # new frames/fields (or new fields without a bump) is a
-        # protocol bug.
-        assert PROTOCOL_VERSION == 6
+    def test_protocol_version_is_7(self):
+        # Tripwire: a frame layout change without a version bump (or a
+        # bump without a layout change) is a protocol bug.
+        assert PROTOCOL_VERSION == 7
         assert FrameType.PING in FrameType
         assert FrameType.PONG in FrameType
         assert FrameType.METRICS_REQUEST in FrameType
@@ -486,16 +472,16 @@ class TestLivenessFrames:
         assert host.handle(fresh).batch_id == 1
 
 
-# --- v4 observability frames -------------------------------------------------
+# --- observability frames ----------------------------------------------------
 
 
 class TestObservabilityFrames:
-    """Hello flags, trace stamps, WireSpan/WireSample round trips (v4).
+    """Hello flags, trace stamps, WireSpan/WireSample round trips.
 
     Telemetry neutrality matters here: an untraced JobSlices and a
-    metrics-off Hello must encode byte-identically to their v3-era
-    defaults plus zeroed new fields, and Partials with no spans carry
-    exactly one extra zero scalar -- no per-partial overhead.
+    metrics-off Hello carry only zeroed telemetry fields, and Partials
+    with no spans carry exactly one extra zero scalar -- no per-partial
+    overhead.
     """
 
     @given(flags=st.integers(0, 2**16))
