@@ -1,6 +1,7 @@
 """Bench A1/A2 -- sampler-component ablation.
 
-DESIGN.md's claims under test:
+The claims under test (ablations A1-A2 of :mod:`repro.eval.ablations`,
+listed in the "Paper ↔ module map" in ``docs/engines.md``):
 
 * dropping the k random users (A1) removes the escape from local
   optima: final view similarity must not beat the full sampler's;

@@ -31,7 +31,7 @@ def test_fig6_recommendation_quality(benchmark):
     # Paper: HyRec beats offline p=24h by up to 12%.  At bench scale
     # the sampled KNN's approximation gap offsets part of the
     # staleness advantage, so assert parity within noise; the gap
-    # closes at larger --scale runs (see EXPERIMENTS.md).
+    # closes at larger --scale runs (``python -m repro.eval.runner fig6``).
     assert hyrec >= offline_24h * 0.90
     assert hyrec >= online * 0.80  # paper: 13% below the bound
 

@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Every bench regenerates one table or figure of the paper (see
-DESIGN.md's experiment index), times it with pytest-benchmark, prints
-the paper-style report (visible with ``-s``), and attaches the key
-numbers to ``benchmark.extra_info`` so they land in the JSON output.
+Every bench regenerates one table or figure of the paper (see the
+"Paper ↔ module map" in ``docs/engines.md``), times it with
+pytest-benchmark, prints the paper-style report (visible with ``-s``),
+and attaches the key numbers to ``benchmark.extra_info`` so they land
+in the JSON output.
 
 Scales are chosen so the full suite finishes on a laptop; run the
 experiments at larger scales through ``python -m repro.eval.runner``.

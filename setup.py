@@ -1,10 +1,17 @@
-"""Legacy setup shim.
+"""Packaging for the HyRec reproduction.
 
-The offline environment ships a setuptools without PEP 660 editable
-support; this file lets ``pip install -e .`` fall back to the classic
-``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+All metadata is here: ``pip install -e . --no-build-isolation`` (or
+``python setup.py develop``) installs the ``repro`` package from
+``src/``.  Runtime dependency: numpy.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="hyrec-repro",
+    version="1.0.0",
+    description="HyRec: leveraging browsers for scalable recommenders (reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

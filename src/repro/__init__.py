@@ -6,9 +6,10 @@ A from-scratch Python implementation of
     "HyRec: Leveraging Browsers for Scalable Recommenders."
     ACM Middleware 2014.
 
-plus every baseline and substrate its evaluation depends on.  See
-``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every table and figure.
+plus every baseline and substrate its evaluation depends on.  The
+"Paper ↔ module map" in ``docs/engines.md`` names the module that
+reproduces each table and figure; ``docs/architecture.md`` describes
+the system.
 
 Quickstart::
 

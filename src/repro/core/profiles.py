@@ -134,12 +134,19 @@ class Profile:
         candidate set it ships; caching the encoded bytes turns job
         serialization into a byte join (the Jackson-level optimization
         a production server would apply).  Matches
-        ``encode_json(self.to_payload())`` byte for byte.
+        ``encode_json(self.to_payload())`` byte for byte, but does not
+        cache that payload dict: most profiles only ever travel as these
+        bytes, and the dict would outlive its one use.
         """
         if self._fragment_cache is None:
             from repro.messages import encode_json
 
-            self._fragment_cache = encode_json(self.to_payload())
+            payload = self._payload_cache
+            if payload is None:
+                payload = {
+                    str(item): value for item, (value, _) in self._ratings.items()
+                }
+            self._fragment_cache = encode_json(payload)
         return self._fragment_cache
 
     def deflated_fragment(self) -> bytes:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain, compress
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.anonymizer import AnonymousMapping
 from repro.core.config import HyRecConfig
@@ -35,6 +36,7 @@ from repro.engine.liked_matrix import LikedMatrix
 from repro.messages import (
     FragmentGzipWriter,
     MessageMeter,
+    deflate_segment,
     encode_json,
     gzip_compress,
 )
@@ -54,6 +56,22 @@ SPLICE_THRESHOLD = 256
 def _job_tail(k: int, metric: str) -> bytes:
     """The job JSON between the candidate map and the own profile."""
     return b',"k":%d,"m":%s,"p":' % (k, encode_json(metric))
+
+
+def _interleave(first: Iterable[bytes], second: Iterable[bytes]) -> list[bytes]:
+    """``[first[0], second[0], first[1], second[1], ...]``."""
+    return list(chain.from_iterable(zip(first, second)))
+
+
+class _KeyRuns(dict):
+    """Deflated form of the run ``,"<token>":`` by token, made on first
+    lookup.  A :func:`~repro.messages.deflate_segment` is a pure function
+    of its bytes, so an entry is valid in any response; the memo holds at
+    most one entry per token of the current epoch."""
+
+    def __missing__(self, token: str) -> bytes:
+        run = self[token] = deflate_segment(b',"%s":' % token.encode("ascii"))
+        return run
 
 
 @dataclass(frozen=True)
@@ -189,12 +207,9 @@ class HyRecServer:
             )
         self.meter = MessageMeter()
         self._tail = _job_tail(self.config.k, self.config.metric)
-        #: Deflated form of the run ``,"<token>":`` that sits between
-        #: two spliced profiles, by candidate token.  A full-flushed run
-        #: is a pure function of its bytes, so an entry is valid in any
-        #: response; the dict holds at most one entry per token of the
-        #: current epoch and is dropped when the anonymizer reshuffles.
-        self._key_runs: dict[str, bytes] = {}
+        #: Deflated key runs between two spliced profiles; dropped when
+        #: the anonymizer reshuffles.
+        self._key_runs = _KeyRuns()
         self._key_runs_epoch = self.anonymizer.epoch
         #: Per-user write observers: called with the user id after any
         #: write that changes what that user's next personalization
@@ -415,11 +430,14 @@ class HyRecServer:
 
         Fast path: the job JSON is assembled by joining each candidate
         profile's cached fragment, and the gzip body by splicing each
-        profile's cached *deflate segment* -- per-request compression
-        work is just the envelope (tokens, braces) plus the CRC.  The
-        decompressed output is byte-identical to
-        ``encode_json(job.to_payload())`` (keys are emitted in sorted
-        order; fragments are themselves sorted-key encodings).
+        large profile's cached *deflate segment* -- per-request
+        compression work is the envelope (tokens, braces) and the small
+        profiles, in one run, plus the CRC.  A plain body is
+        byte-identical to ``encode_json(job.to_payload())`` (keys in
+        sorted order; fragments are themselves sorted-key encodings).
+        A gzip body decodes to the same JSON value and length, with the
+        candidate map in two token-sorted groups: small profiles, then
+        spliced ones (see :meth:`_render_tokenized`).
 
         Item-anonymized jobs fall back to the generic encoder because
         their item keys are per-epoch tokens that cannot be cached on
@@ -479,17 +497,20 @@ class HyRecServer:
 
         ``tokens`` must be ascending (both callers guarantee it);
         profiles are embedded via their cached JSON / deflate
-        fragments.  One loop serves all four cases: gzip or
-        plain (plain never splices), and with or without the body --
-        without, the same pieces are only weighed, so the metered
-        ``(raw, wire)`` sizes are those of the body not built.
+        fragments.  A gzip body lists the candidates below
+        :data:`SPLICE_THRESHOLD` first and the spliced ones after, each
+        group in token order; a plain body splices nothing and keeps
+        token order throughout.  The same code serves all four cases:
+        gzip or plain, and with or without the body -- without, the
+        same pieces are only weighed, so the metered ``(raw, wire)``
+        sizes are those of the body not built.
         """
         if self.config.compress:
             writer = FragmentGzipWriter(keep_body=body)
             write, splice = writer.write, writer.write_deflated
             threshold = SPLICE_THRESHOLD
             if self._key_runs_epoch != self.anonymizer.epoch:
-                self._key_runs = {}
+                self._key_runs = _KeyRuns()
                 self._key_runs_epoch = self.anonymizer.epoch
             key_runs = self._key_runs
         else:
@@ -497,38 +518,43 @@ class HyRecServer:
             write = parts.append
             threshold = sys.maxsize  # plain never splices: no writer needed
 
-        write(b'{"c":{')
+        # Two groups, each token-ascending: first every profile written
+        # inline, then every profile spliced.  The inline ones then share
+        # the leading run -- one compress and one full flush however many
+        # there are -- and the spliced group is cached bytes end to end.
+        # JSON member order carries no meaning; a plain body splices
+        # nothing, so it is one group, in token order.
+        profiles = list(map(self.profiles.lookup(), candidates))
+        fragments = list(map(Profile.json_fragment, profiles))
+        inline = [len(fragment) < threshold for fragment in fragments]
+        spliced = [not flag for flag in inline]
+        small = list(compress(tokens, inline))
+        large = list(compress(tokens, spliced))
         # Every candidate's key -- ``"<token>":``, comma-led after the
-        # first -- in one encode.  A token is hex, so never holds the
-        # separator.
+        # first -- in one encode, in emission order.  A token is hex, so
+        # never holds the separator.
+        order = small + large
         keys = (
-            ('"' + '":\n,"'.join(tokens) + '":').encode("ascii").split(b"\n")
-            if tokens
-            else ()
+            ('"' + '":\n,"'.join(order) + '":').encode("ascii").split(b"\n")
+            if order
+            else []
         )
-        aligned = False  # nothing pending since the last splice
-        for token, key, profile in zip(
-            tokens, keys, map(self.profiles.lookup(), candidates)
-        ):
-            fragment = profile.json_fragment()
-            if len(fragment) < threshold:
-                write(key)
-                write(fragment)
-                aligned = False
-                continue
-            if aligned:
-                # The whole run is this one key: its deflated form is
-                # remembered per token, sparing a compress + full flush.
-                key_run = key_runs.get(token)
-                if key_run is None:
-                    write(key)
-                    key_runs[token] = writer.flush_run()
-                else:
-                    splice(key_run, key)
-            else:
-                write(key)
-            splice(profile.deflated_fragment(), fragment)
-            aligned = True
+        write(b'{"c":{')
+        write(b"".join(_interleave(keys, compress(fragments, inline))))
+        if large:
+            # The first spliced key closes the leading run, hence the
+            # empty slot before the first segment.  Every later key sits
+            # between two splices, so it is spliced as well, from the
+            # per-token memo of its deflated form.
+            large_keys = keys[len(small) :]
+            write(large_keys[0])
+            splice(
+                _interleave(
+                    [b"", *map(key_runs.__getitem__, large[1:])],
+                    map(Profile.deflated_fragment, compress(profiles, spliced)),
+                ),
+                _interleave([b"", *large_keys[1:]], compress(fragments, spliced)),
+            )
         write(b"}")
         write(
             self._tail
@@ -540,7 +566,7 @@ class HyRecServer:
         if len(fragment) < threshold:
             write(fragment)
         else:
-            splice(own.deflated_fragment(), fragment)
+            splice([own.deflated_fragment()], [fragment])
         write(b',"r":%d,"u":%s}' % (self.config.r, encode_json(user_token)))
 
         if self.config.compress:

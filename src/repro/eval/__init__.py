@@ -7,7 +7,8 @@ its output.  All experiments accept ``scale`` (workload size factor)
 and ``seed``; the defaults are chosen so the whole suite finishes on
 a laptop.
 
-See DESIGN.md, Section 3, for the experiment index.
+The "Paper ↔ module map" in ``docs/engines.md`` is the experiment
+index: which module reproduces each table and figure.
 """
 
 from repro.eval.common import liked_sets_of_trace, liked_sets_of_profiles

@@ -1,4 +1,5 @@
-"""Ablations on HyRec's design choices (DESIGN.md, A1-A3).
+"""Ablations on HyRec's design choices, A1-A3 (the "Paper ↔ module
+map" in ``docs/engines.md`` lists them).
 
 * **A1 -- random injection**: the Sampler's k random users are what
   guarantees eventual convergence (Section 3.1: "adding random users

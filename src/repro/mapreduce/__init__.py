@@ -18,7 +18,8 @@ This package is a faithful miniature of that stack:
   sampling iterations -- as jobs on that engine.
 
 Results are therefore bit-for-bit real; only the parallel speedup is
-modeled, which is exactly the substitution DESIGN.md documents.
+modeled (the Figure 7 row of the "Paper ↔ module map" in
+``docs/engines.md``).
 """
 
 from repro.mapreduce.engine import (

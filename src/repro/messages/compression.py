@@ -6,7 +6,7 @@ import gzip
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.messages.json_codec import encode_json
 
@@ -19,10 +19,13 @@ def deflate_segment(raw: bytes, level: int = 1) -> bytes:
 
     The segment ends on a byte boundary (``Z_SYNC_FLUSH`` emits the
     ``00 00 FF FF`` empty stored block), so any number of such
-    segments can be concatenated into one valid deflate stream.  This
-    is what lets the HyRec server cache each profile's *compressed*
-    bytes and assemble whole gzip responses with byte joins -- the
-    same trick behind nginx's ``gzip_static`` and CDN edge assembly.
+    segments can be concatenated into one valid deflate stream.  A
+    fresh compressor has no history, so the segment is a pure function
+    of ``raw`` and equals what a stream emits for the same bytes right
+    after a ``Z_FULL_FLUSH``.  This is what lets the HyRec server cache
+    each profile's (and each candidate key's) *compressed* bytes and
+    assemble whole gzip responses with byte joins -- the same trick
+    behind nginx's ``gzip_static`` and CDN edge assembly.
     """
     compressor = zlib.compressobj(level, zlib.DEFLATED, -15)
     return compressor.compress(raw) + compressor.flush(zlib.Z_SYNC_FLUSH)
@@ -32,15 +35,15 @@ class FragmentGzipWriter:
     """Build one gzip member from literals and pre-deflated segments.
 
     ``write()`` buffers fresh bytes (request-specific envelope: braces,
-    tokens, counters); ``write_deflated()`` splices in a cached
-    :func:`deflate_segment` without touching zlib.  Everything written
-    between two splices is one *run*: it is joined and deflated in a
-    single ``compress`` + ``Z_FULL_FLUSH`` when the next splice (or
-    :meth:`flush_run`) arrives -- zlib's output does not depend on how
-    its input was chunked, so the member is byte-identical to feeding
-    the pieces one at a time.  ``finish()`` terminates the deflate
-    stream and appends the gzip CRC32/ISIZE trailer computed over the
-    logical (uncompressed) payload.
+    tokens, counters); ``write_deflated()`` splices in cached
+    :func:`deflate_segment` output without touching zlib.  Everything
+    written between two splices is one *run*: it is joined and deflated
+    in a single ``compress`` + ``Z_FULL_FLUSH`` when the next splice
+    arrives -- zlib's output does not depend on how its input was
+    chunked, so the member is byte-identical to feeding the pieces one
+    at a time.  ``finish()`` terminates the deflate stream and appends
+    the gzip CRC32/ISIZE trailer computed over the logical
+    (uncompressed) payload.
 
     With ``keep_body=False`` the writer only *weighs* the member: no
     part list, no CRC, no final join -- :attr:`raw_size` and
@@ -74,48 +77,40 @@ class FragmentGzipWriter:
             raise RuntimeError("writer already finished")
         self._run.append(raw)
 
-    def flush_run(self) -> bytes:
-        """Deflate the pending run now; returns its full-flushed bytes.
-
-        ``Z_FULL_FLUSH`` aligns the stream to a byte boundary *and*
-        resets the compressor's dictionary, so what is returned is a
-        pure function of the run's bytes: a caller may keep it and
-        :meth:`write_deflated` it in place of the same run later, in
-        this member or any other of the same level.
-        """
-        if self._finished:
-            raise RuntimeError("writer already finished")
-        if not self._run:
-            return b""
-        return self._deflate_run(zlib.Z_FULL_FLUSH)
-
-    def _deflate_run(self, mode: int) -> bytes:
+    def _deflate_run(self, mode: int) -> None:
         raw = b"".join(self._run)
         self._run.clear()
         compressor = self._compressor
         deflated = compressor.compress(raw) + compressor.flush(mode)
-        self._append(deflated, raw)
-        return deflated
-
-    def _append(self, deflated: bytes, raw: bytes) -> None:
         self._raw += len(raw)
         self._wire += len(deflated)
         if self._parts is not None:
             self._parts.append(deflated)
             self._crc = zlib.crc32(raw, self._crc)
 
-    def write_deflated(self, segment: bytes, raw: bytes) -> None:
-        """Splice a cached segment; ``raw`` is its uncompressed form.
+    def write_deflated(
+        self, segments: Sequence[bytes], raws: Sequence[bytes]
+    ) -> None:
+        """Splice cached segments; ``raws`` are their uncompressed forms,
+        in the same order.
 
         The pending run is flushed with ``Z_FULL_FLUSH`` first, so no
         later back-reference can reach across the spliced content
-        (whose length the compressor never sees).
+        (whose length the compressor never sees).  The lengths are
+        summed, and the CRC taken over the joined ``raws``, in C.
         """
         if self._finished:
             raise RuntimeError("writer already finished")
         if self._run:
             self._deflate_run(zlib.Z_FULL_FLUSH)
-        self._append(segment, raw)
+        self._wire += sum(map(len, segments))
+        if self._parts is None:
+            self._raw += sum(map(len, raws))
+            return
+        raw = b"".join(raws)
+        self._raw += len(raw)
+        self._parts.extend(segments)
+        self._crc = zlib.crc32(raw, self._crc)
 
     def finish(self) -> bytes | None:
         """Terminate the member; returns the complete gzip bytes

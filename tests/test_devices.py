@@ -1,7 +1,8 @@
 """Tests for the calibrated device models.
 
-The calibration classes assert the exact targets DESIGN.md commits to:
-the paper's Figure 12/13 ratios must hold for the shipped constants.
+The calibration classes assert the exact targets of the Figure 11-13
+row of the "Paper ↔ module map" in ``docs/engines.md``: the paper's
+Figure 12/13 ratios must hold for the shipped constants.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Docs stay honest: links resolve and knob docs track the config.
 
-Two cheap, deterministic checks that CI runs as the docs gate:
+Cheap, deterministic checks that CI runs as the docs gate:
 
 * every relative markdown link in ``README.md`` and ``docs/*.md``
-  points at a file that exists (dead links fail the build), and
+  points at a file that exists (dead links fail the build),
+* every ``*.md`` file a module under ``src/`` names exists, and
 * ``docs/engines.md`` mentions every ``HyRecConfig`` field, so adding
   a knob without documenting it -- or documenting a knob that no
   longer exists -- is caught at test time.
@@ -82,3 +83,18 @@ class TestConfigDrift:
             assert f'`"{name}"`' in documented, (
                 f"executor {name!r} undocumented in docs/engines.md"
             )
+
+
+# A markdown path as a docstring names it: ``docs/http.md``, DESIGN.md.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+
+class TestSourceDocReferences:
+    def test_every_md_named_in_src_exists(self):
+        missing = sorted(
+            f"{path.relative_to(REPO_ROOT)}: {name}"
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            for name in set(_MD_NAME.findall(path.read_text()))
+            if not (REPO_ROOT / name).exists()
+        )
+        assert not missing, f"src/ names markdown files that do not exist: {missing}"

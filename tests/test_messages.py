@@ -129,7 +129,7 @@ class TestFragmentGzip:
             if kind == "literal":
                 writer.write(data)
             else:
-                writer.write_deflated(deflate_segment(data), data)
+                writer.write_deflated([deflate_segment(data)], [data])
         return writer.finish(), b"".join(data for _, data in chunks)
 
     def test_literal_only(self):
@@ -159,6 +159,20 @@ class TestFragmentGzip:
         wire, raw = self._segments(chunks)
         assert gzip_decompress(wire) == raw
 
+    def test_segment_is_the_run_a_full_flushed_stream_emits(self):
+        # Why a key run can be deflated on its own and spliced: after a
+        # full flush the stream has no history left to refer to.
+        import zlib
+
+        from repro.messages import deflate_segment
+
+        stream = zlib.compressobj(1, zlib.DEFLATED, -15)
+        stream.compress(b'{"c":{' + b'"ab":1.0,' * 300)
+        stream.flush(zlib.Z_FULL_FLUSH)
+        key = b',"3f9a0c":'
+        run = stream.compress(key) + stream.flush(zlib.Z_FULL_FLUSH)
+        assert run == deflate_segment(key)
+
     def test_compresses(self):
         payload = encode_json({str(i): 1.0 for i in range(2000)})
         wire, raw = self._segments([("spliced", payload)])
@@ -180,5 +194,5 @@ class TestFragmentGzip:
 
         writer = FragmentGzipWriter()
         writer.write(b"abc")
-        writer.write_deflated(deflate_segment(b"defgh"), b"defgh")
+        writer.write_deflated([deflate_segment(b"defgh")], [b"defgh"])
         assert writer.raw_size == 8

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.profiles import Profile
+from repro.messages import encode_json
 
 
 class TestProfileBasics:
@@ -86,6 +87,16 @@ class TestPayloadCache:
         profile = Profile(1)
         profile.add(42, 1.0, timestamp=123.0)
         assert profile.to_payload() == {"42": 1.0}
+
+    def test_fragment_keeps_no_payload_dict(self):
+        # A profile that only travels as bytes must not hold the dict
+        # the bytes were encoded from.
+        profile = Profile(1)
+        for item in (42, 7, 1000, 3):
+            profile.add(item, float(item % 2))
+        fragment = profile.json_fragment()
+        assert profile._payload_cache is None
+        assert fragment == encode_json(profile.to_payload())
 
 
 class TestCopy:

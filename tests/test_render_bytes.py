@@ -2,13 +2,14 @@
 
 Two guards around the fragment-splicing renderer:
 
-* golden digests, captured before the renderer was reworked, over the
-  bodies ``render_online_response`` puts on the wire -- a change to the
-  gzip assembly that moves a single byte fails here;
+* golden digests over the bodies ``render_online_response`` puts on
+  the wire -- a change to the gzip assembly that moves a single byte
+  fails here;
 * properties tying the three ways of rendering one job together: the
   body-less metering call books exactly the sizes of the body the
   body-keeping call returns, and the engine job renders to the same
-  bytes as the equivalent wire job.
+  bytes as the equivalent wire job -- bytes that decode to the job's
+  payload, with the candidate map in the renderer's member order.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ from hypothesis import strategies as st
 from repro.core.client import HyRecWidget
 from repro.core.config import HyRecConfig
 from repro.core.jobs import PersonalizationJob
-from repro.core.server import HyRecServer
+from repro.core.server import SPLICE_THRESHOLD, HyRecServer
 from repro.datasets.synthetic import StreamingLoader, SyntheticSpec
-from repro.messages import encode_json, gzip_decompress
+from repro.messages import decode_json, encode_json, gzip_decompress
 
-#: sha256 over every ``/online`` body of :func:`golden_digest`, captured
-#: at the commit before the coalescing writer (PR 11's tree).
+#: sha256 over every ``/online`` body of :func:`golden_digest`.  The
+#: plain digest dates from before the coalescing writer and has never
+#: moved.  The gzip digest was regenerated, deliberately, when the
+#: candidate map of a gzip body became two token-sorted groups (inline
+#: profiles, then spliced ones); every body still decodes to the same
+#: payload and length.
 GOLDEN = {
-    True: "da310444601197d656e7ec2e568b6cf2a7c095dd900613cf5186787759c11ba2",
+    True: "b78cfce587c984b9982ff10a52bc2f8893a99d6b351518bf6bfd9dd1a5841fb2",
     False: "6fb1819d5f6561ab21cb4fe5754167225469e4611450badb1ce6f393d1ae21ee",
 }
 
@@ -68,9 +73,11 @@ def test_online_bodies_match_golden_digest(compress):
 
 # --- one job, three renderings ------------------------------------------------
 
-#: Ratings per profile: an entry is 10-11 bytes of JSON, so 25 of them
-#: render to 251-ish bytes and 26 to 261-ish -- either side of the
-#: 256-byte splice threshold; the rest are the small and large ends.
+#: Ratings per profile.  :func:`_server_with` only rates three-digit
+#: items, so an entry ``"<item>":<value>,`` is exactly 10 bytes and n
+#: ratings render to 10n + 1 bytes (0 to ``{}``): 25 of them to 251 and
+#: 26 to 261, either side of the 256-byte splice threshold; the rest
+#: are the small and large ends.
 PROFILE_SIZES = st.sampled_from([0, 1, 3, 20, 23, 24, 25, 26, 27, 30, 60, 200])
 
 
@@ -138,7 +145,21 @@ def test_engine_job_renders_the_wire_jobs_bytes(own, others, compress):
     # remembers (the cached key runs) may leak into the next one.
     assert engine_body == server.render_engine_response(engine_job)
     raw = gzip_decompress(engine_body) if compress else engine_body
-    assert raw == encode_json(wire_job.to_payload())
+    payload = wire_job.to_payload()
+    assert decode_json(raw) == payload
+    assert len(raw) == len(encode_json(payload))
+    # Member order: candidates written inline first, spliced ones after
+    # (a plain body splices nothing), token-ascending within each group.
+    threshold = SPLICE_THRESHOLD if compress else float("inf")
+    inline = [
+        len(server.profiles.get(uid).json_fragment()) < threshold
+        for uid in engine_job.candidate_ids
+    ]
+    tokens = engine_job.candidate_tokens
+    assert list(decode_json(raw)["c"]) == (
+        [token for token, small in zip(tokens, inline) if small]
+        + [token for token, small in zip(tokens, inline) if not small]
+    )
 
 
 def test_empty_candidate_set_renders_an_empty_map():
@@ -152,3 +173,48 @@ def test_empty_candidate_set_renders_an_empty_map():
     after = _meter(server)
     assert after[1] - before[1] == len(gzip_decompress(body))
     assert after[2] - before[2] == len(body)
+
+
+def test_a_warm_gzip_render_deflates_two_runs(monkeypatch):
+    """All inline profiles share the leading run and every spliced member
+    is cached bytes, so once the key memo and the segments are warm a
+    response costs two zlib flushes however the sizes interleave: the
+    leading run's and the finish."""
+    import zlib
+
+    from repro.messages import compression
+
+    flushes = []
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def compress(self, data):
+            return self.inner.compress(data)
+
+        def flush(self, mode=zlib.Z_FINISH):
+            flushes.append(mode)
+            return self.inner.flush(mode)
+
+    class Zlib:
+        def __getattr__(self, name):
+            return getattr(zlib, name)
+
+        def compressobj(self, *args, **kwargs):
+            return Counting(zlib.compressobj(*args, **kwargs))
+
+    server = _server_with([3] + [3, 60] * 8, True, "vectorized")
+    job = server.handle_engine_request(0)
+    inline = [
+        len(server.profiles.get(uid).json_fragment()) < SPLICE_THRESHOLD
+        for uid in job.candidate_ids
+    ]
+    assert any(inline) and not all(inline)
+    server.render_engine_response(job)
+    monkeypatch.setattr(compression, "zlib", Zlib())
+    body = server.render_engine_response(job)
+    assert flushes == [zlib.Z_FULL_FLUSH, zlib.Z_FINISH]
+    assert sorted(decode_json(gzip_decompress(body))["c"]) == sorted(
+        job.candidate_tokens
+    )
