@@ -36,8 +36,8 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import count
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Span",
@@ -57,14 +57,41 @@ def now_us() -> int:
     return time.perf_counter_ns() // 1000
 
 
+def _note_pid() -> None:
+    """Cache this process's pid and id salt (again in a forked child)."""
+    global _PID, _SALT
+    _PID = os.getpid()
+    _SALT = (_PID & 0xFFFF) << 40
+
+
+_note_pid()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_note_pid)
+
+
 def salted_id(seq: int) -> int:
     """A process-unique id: low pid bits salt a local sequence number."""
-    return ((os.getpid() & 0xFFFF) << 40) | (seq & 0xFFFFFFFFFF)
+    return _SALT | (seq & 0xFFFFFFFFFF)
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """One finished span (immutable; the unit of export/adoption)."""
+def _pack(args: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    """Annotations as ``(key, str(value))`` pairs, in keyword order."""
+    return tuple([(key, str(value)) for key, value in args.items()]) if args else ()
+
+
+#: ``_new_record(SpanRecord, fields)`` builds a record in C, skipping
+#: the generated keyword-taking ``__new__`` (as ``SpanRecord._make`` does).
+_new_record = tuple.__new__
+
+
+class SpanRecord(NamedTuple):
+    """One finished span (immutable; the unit of export/adoption).
+
+    A named tuple rather than a frozen dataclass: a record is minted
+    for every span a traced request opens, and a frozen dataclass
+    spends most of its construction in per-field ``object.__setattr__``
+    -- time that lands in the parent span, outside every measured stage.
+    """
 
     trace_id: int
     span_id: int
@@ -137,38 +164,47 @@ class Span:
 
     def annotate(self, **args: object) -> None:
         """Attach key/value annotations (stringified at export)."""
-        self._args = self._args + tuple(
-            (key, str(value)) for key, value in args.items()
-        )
+        self._args = self._args + _pack(args)
 
     def finish(self) -> None:
         """Close the span and hand the record to the tracer (idempotent)."""
         if self._done:
             return
         self._done = True
-        self._tracer._record(
-            SpanRecord(
-                trace_id=self.trace_id,
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                name=self.name,
-                start_us=self._start_us,
-                dur_us=now_us() - self._start_us,
-                pid=os.getpid(),
-                args=self._args,
+        start = self._start_us
+        self._tracer._spans.append(
+            _new_record(
+                SpanRecord,
+                (
+                    self.trace_id,
+                    self.span_id,
+                    self.parent_id,
+                    self.name,
+                    start,
+                    now_us() - start,
+                    _PID,
+                    self._args,
+                ),
             )
         )
 
     def __enter__(self) -> "Span":
-        self._tracer._push(self.ctx)
+        self._tracer._tls.stack.append((self.trace_id, self.span_id))
         self._activated = True
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         if self._activated:
-            self._tracer._pop()
+            self._tracer._tls.stack.pop()
             self._activated = False
         self.finish()
+
+
+class _Stacks(threading.local):
+    """Each thread's stack of active span contexts, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[SpanContext] = []
 
 
 class Tracer:
@@ -180,6 +216,12 @@ class Tracer:
     active-span stack are thread-local; the finished-span ring is a
     ``deque`` with atomic appends, so pool threads and adopted worker
     spans interleave safely.
+
+    Everything a span does before its start stamp and after its end
+    stamp is booked to its parent's self time, so the span lifecycle
+    below is kept to plain attribute access: no lock (``next`` on an
+    ``itertools.count`` is atomic under the GIL), no per-call
+    thread-local lookup with a default, no keyword re-packing.
     """
 
     def __init__(self, enabled: bool = False, capacity: int = 4096) -> None:
@@ -188,37 +230,29 @@ class Tracer:
         self.enabled = enabled
         self.capacity = capacity
         self._spans: deque[SpanRecord] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._tls = threading.local()
+        self._ids = count(1)
+        self._tls = _Stacks()
 
     # --- span lifecycle -----------------------------------------------------
 
     def _next_id(self) -> int:
-        with self._lock:
-            self._seq += 1
-            return salted_id(self._seq)
+        return salted_id(next(self._ids))
 
-    def _stack(self) -> list[SpanContext]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
-
-    def _push(self, ctx: SpanContext) -> None:
-        self._stack().append(ctx)
-
-    def _pop(self) -> None:
-        self._stack().pop()
-
-    def _record(self, record: SpanRecord) -> None:
-        self._spans.append(record)
+    def _open(
+        self,
+        name: str,
+        parent: SpanContext | None,
+        args: dict[str, object],
+    ) -> Span:
+        if parent is None:
+            trace_id = self._next_id()
+            return Span(self, trace_id, self._next_id(), 0, name, _pack(args))
+        return Span(self, parent[0], self._next_id(), parent[1], name, _pack(args))
 
     @property
     def current(self) -> SpanContext | None:
         """The innermost active span's context on this thread."""
-        stack = self._stack()
+        stack = self._tls.stack
         return stack[-1] if stack else None
 
     def begin(
@@ -234,11 +268,7 @@ class Tracer:
         """
         if not self.enabled:
             return _NULL_SPAN
-        packed = tuple((key, str(value)) for key, value in args.items())
-        if parent is None:
-            trace_id = self._next_id()
-            return Span(self, trace_id, self._next_id(), 0, name, packed)
-        return Span(self, parent[0], self._next_id(), parent[1], name, packed)
+        return self._open(name, parent, args)
 
     def span(
         self,
@@ -255,8 +285,9 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         if parent is None:
-            parent = self.current
-        return self.begin(name, parent=parent, **args)
+            stack = self._tls.stack
+            parent = stack[-1] if stack else None
+        return self._open(name, parent, args)
 
     def activate(self, span: Span | _NullSpan):
         """Context manager making ``span`` the implicit parent, without
@@ -277,7 +308,7 @@ class Tracer:
         """Record a pre-measured span (e.g. scheduler queueing time)."""
         if not self.enabled:
             return
-        self._record(
+        self._spans.append(
             SpanRecord(
                 trace_id=parent[0],
                 span_id=self._next_id(),
@@ -285,8 +316,8 @@ class Tracer:
                 name=name,
                 start_us=start_us,
                 dur_us=dur_us,
-                pid=os.getpid(),
-                args=tuple((key, str(value)) for key, value in args.items()),
+                pid=_PID,
+                args=_pack(args),
             )
         )
 
@@ -294,8 +325,7 @@ class Tracer:
         """Absorb spans measured elsewhere (worker processes)."""
         if not self.enabled:
             return
-        for record in records:
-            self._record(record)
+        self._spans.extend(records)
 
     # --- introspection / export ---------------------------------------------
 
@@ -360,8 +390,8 @@ class _Activation:
         self._span = span
 
     def __enter__(self) -> Span:
-        self._tracer._push(self._span.ctx)
+        self._tracer._tls.stack.append(self._span.ctx)
         return self._span
 
     def __exit__(self, *exc_info: object) -> None:
-        self._tracer._pop()
+        self._tracer._tls.stack.pop()

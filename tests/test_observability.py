@@ -23,6 +23,7 @@ Four contracts under test:
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import urllib.request
@@ -197,6 +198,49 @@ class TestTracer:
         root = next(e for e in events if e["name"] == "request")
         assert root["args"]["user"] == "7"
         assert root["args"]["parent_id"] == 0
+
+    def test_span_ids_are_unique_across_threads(self):
+        tracer = Tracer(enabled=True, capacity=100_000)
+
+        def work():
+            for _ in range(2000):
+                with tracer.begin("request"):
+                    with tracer.span("score"):
+                        pass
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        spans = tracer.spans
+        assert len(spans) == 32_000
+        assert len({s.span_id for s in spans}) == 32_000
+        assert len(tracer.trace_ids()) == 16_000
+        assert tracer.current is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_salts_ids_with_its_own_pid(self):
+        tracer = Tracer(enabled=True)
+        tracer.begin("parent").finish()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report the salt and pid of a fresh record
+            try:
+                tracer.begin("child").finish()
+                record = tracer.spans[-1]
+                os.write(write_end, b"%d %d" % (record.span_id >> 40, record.pid))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            salt, recorded_pid = map(int, reader.read().split())
+        os.waitpid(pid, 0)
+        assert recorded_pid == pid
+        assert salt == pid & 0xFFFF
+        parent = tracer.spans[0]
+        assert parent.pid == os.getpid()
+        assert parent.span_id >> 40 == os.getpid() & 0xFFFF
 
 
 # --- server stats accumulation ----------------------------------------------
