@@ -34,11 +34,19 @@ class WebApi:
     def online(self, uid: int, now: float = 0.0) -> bytes:
         """Serve a personalization job for ``uid`` as wire bytes.
 
-        Uses the server's fragment-cached fast path, which also meters
-        the response on the ``server->client`` channel.
+        Builds the integer job (:meth:`HyRecServer.handle_engine_request`)
+        and renders it from the profiles' cached fragments
+        (:meth:`HyRecServer.render_engine_response`), which also meters
+        the response on the ``server->client`` channel -- on every
+        engine, with no payload dict per candidate.  Only
+        ``anonymize_items`` takes the generic builder: it mints item
+        tokens in one stream with the user tokens, in its own order.
         """
-        job = self.server.handle_online_request(uid, now=now)
-        return self.server.render_online_response(job)
+        server = self.server
+        if server.config.anonymize_items:
+            job = server.handle_online_request(uid, now=now)
+            return server.render_online_response(job)
+        return server.render_engine_response(server.handle_engine_request(uid, now=now))
 
     # --- endpoint: /neighbors/?uid=&id0=&id1=... -----------------------------------
 

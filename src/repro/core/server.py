@@ -327,12 +327,15 @@ class HyRecServer:
     def _begin_request(self, user_id: int, now: float) -> set[int]:
         """Shared request preamble; returns the sampled candidate set.
 
-        Both online entry points (wire and engine) must mutate the
-        request counter, the anonymizer epoch, and the sampler RNG in
-        exactly this order -- the engines' bit-for-bit contract
-        (including byte-identical wire metering) rides on the two
-        paths staying in lockstep, which is why this lives in one
-        place.
+        Both job builders run it: :meth:`handle_engine_request`, the one
+        HTTP ``/online`` and the in-process array engines take, and the
+        generic :meth:`handle_online_request`, kept for
+        ``anonymize_items``, the in-process python widget, Figure 10 and
+        the privacy experiment.  Each must mutate the request counter,
+        the anonymizer epoch, and the sampler RNG in exactly this order
+        -- the bit-for-bit contract (including byte-identical wire
+        metering) rides on the two builders staying in lockstep, which
+        is why this lives in one place.
         """
         self.register_user(user_id)
         self._online_requests += 1
@@ -376,21 +379,18 @@ class HyRecServer:
         Performs the exact same orchestration (registration, request
         counting, reshuffle epochs, sampling, token minting -- in the
         same order, so RNG and anonymizer state stay in lockstep with
-        the wire path) but skips the ``{str(item): value}`` payload
-        materialization: the widget reads liked sets straight from
-        :attr:`liked_matrix` (or the shard arenas of :attr:`cluster`).
-        Requires an array engine -- ``"vectorized"`` or ``"sharded"``
-        -- and no item anonymization (item tokens only exist on wire
-        payloads).
+        the generic builder) but skips the ``{str(item): value}``
+        payload materialization: the job holds only ids, tokens and
+        profile sizes.  :meth:`render_engine_response` renders it on
+        every engine (``WebApi.online`` does exactly that), and a
+        widget that scores it in process reads liked sets from the
+        matrix it is handed (:attr:`liked_matrix` or the shard arenas
+        of :attr:`cluster`).  Item anonymization needs the generic
+        builder: item tokens only exist on payload dicts.
         """
-        if self.liked_matrix is None and self.cluster is None:
-            raise RuntimeError(
-                "engine requests need HyRecConfig(engine='vectorized') "
-                "or engine='sharded'"
-            )
         if self.config.anonymize_items:
             raise RuntimeError(
-                "the in-process fast path cannot anonymize items; "
+                "integer jobs cannot anonymize items; "
                 "use handle_online_request"
             )
         # Tokens are minted in the sampler set's iteration order

@@ -1,4 +1,5 @@
-"""Integer-indexed personalization jobs for the in-process fast path.
+"""Integer-indexed personalization jobs: the in-process fast path and
+every HTTP ``/online`` render.
 
 An :class:`EngineJob` is the vectorized twin of
 :class:`repro.core.jobs.PersonalizationJob`: same orchestration inputs

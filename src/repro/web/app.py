@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tracing",
         action="store_true",
-        help="collect request-lifecycle spans (see /metrics neighbors "
+        help="collect request-lifecycle spans (see /metrics and "
         "docs/observability.md for exporting them)",
     )
     parser.add_argument(

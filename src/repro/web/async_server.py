@@ -19,7 +19,13 @@ Request flow::
                        └────┼────────────────────────────────────┼───┘
                             ▼ queue                call_soon_threadsafe
                  engine lane (one thread, FIFO)                  │
-                 render via WebApi → cache.put ──────────────────┘
+                 WebApi.online → cache.put ──────────────────────┘
+
+A miss runs :meth:`WebApi.online <repro.core.api.WebApi.online>`: the
+server samples an integer job (``handle_engine_request``) and renders
+it from the profiles' cached fragments (``render_engine_response``) --
+the same two calls an in-process request makes, on every engine, with
+no payload dict built per candidate.
 
 One lane, not a pool: over HTTP the server only samples, renders and
 applies KNN updates (scoring is the browser's job) -- Python under the

@@ -10,9 +10,10 @@ HyRec's single write path:
   response bytes keyed by user id.  Hits are served straight off the
   event loop: no admission slot, no engine work, no new wire metering.
 * **L2 (already in the server)** -- the per-profile JSON fragment and
-  deflate-segment caches that :meth:`HyRecServer.render_online_response
-  <repro.core.server.HyRecServer.render_online_response>` splices, so
-  even an L1 miss only pays for the response envelope.
+  deflate-segment caches that :meth:`HyRecServer.render_engine_response
+  <repro.core.server.HyRecServer.render_engine_response>` splices into
+  the integer job ``WebApi.online`` builds, so even an L1 miss only
+  pays for sampling and the response envelope.
 
 Staleness contract (see ``docs/http.md``):
 
