@@ -1,14 +1,29 @@
 """User profiles: the ``<user, item, value>`` opinion sets of Section 2.1.
 
 A profile collects a user's binary opinions (1.0 = liked, 0.0 =
-disliked) with the timestamp of each rating.  The liked-item set is
-maintained incrementally because every similarity computation needs it
-and profiles are read far more often than they are written.
+disliked) as one dict entry per rated item, ``item -> opinion``, and
+nothing else per rating.  The opinion is always one of the two shared
+constants :data:`LIKE` and :data:`DISLIKE`, whatever type the caller
+passed (``True``, ``1``, ``np.float64(1.0)``...): the table keeps no
+number object of its own per rating, and a like has one wire form.
+Rating timestamps are accepted but not stored -- no reader needs them
+(they never go on the wire, and a replay schedules by the trace's own
+timestamps).
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Any, Iterator, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Mapping
+
+#: The stored opinions.  Every profile shares these two objects.
+LIKE = 1.0
+DISLIKE = 0.0
+
+#: Accepted rating value -> stored opinion.  ``True``, ``1`` and numpy
+#: scalars hash and compare equal to the float keys, so one probe both
+#: validates a value and canonicalizes it.
+OPINIONS: dict[float, float] = {LIKE: LIKE, DISLIKE: DISLIKE}
 
 
 class Profile:
@@ -23,7 +38,6 @@ class Profile:
     __slots__ = (
         "user_id",
         "_ratings",
-        "_liked",
         "_payload_cache",
         "_liked_frozen",
         "_disliked_frozen",
@@ -33,8 +47,7 @@ class Profile:
 
     def __init__(self, user_id: int) -> None:
         self.user_id = user_id
-        self._ratings: dict[int, tuple[float, float]] = {}  # item -> (value, ts)
-        self._liked: set[int] = set()
+        self._ratings: dict[int, float] = {}  # item -> LIKE | DISLIKE
         self._payload_cache: dict[str, float] | None = None
         self._liked_frozen: frozenset[int] | None = None
         self._disliked_frozen: frozenset[int] | None = None
@@ -55,28 +68,38 @@ class Profile:
         """Number of rated items (the paper's "profile size")."""
         return len(self._ratings)
 
-    def add(self, item: int, value: float, timestamp: float = 0.0) -> None:
-        """Record (or overwrite) the opinion on ``item``."""
-        if value not in (0.0, 1.0):
+    def add(self, item: int, value: float, timestamp: float = 0.0) -> float | None:
+        """Record (or overwrite) the opinion on ``item``.
+
+        Stores the shared constant for ``value`` (see :data:`OPINIONS`);
+        ``timestamp`` is accepted for the callers that carry one and
+        dropped.  Returns the previous opinion, ``None`` if the item was
+        unrated.  Re-stating the opinion already held changes nothing,
+        so the cached wire forms survive it.
+        """
+        try:
+            opinion = OPINIONS.get(value)
+        except TypeError:  # unhashable
+            opinion = None
+        if opinion is None:
             raise ValueError(
                 f"profiles store binary opinions; got value={value!r} "
                 "(binarize the trace first)"
             )
-        self._ratings[item] = (value, timestamp)
-        if value == 1.0:
-            self._liked.add(item)
-        else:
-            self._liked.discard(item)
-        self._payload_cache = None
-        self._liked_frozen = None
-        self._disliked_frozen = None
-        self._fragment_cache = None
-        self._deflated_cache = None
+        ratings = self._ratings
+        previous = ratings.get(item)
+        if previous is not opinion:
+            ratings[item] = opinion
+            self._payload_cache = None
+            self._liked_frozen = None
+            self._disliked_frozen = None
+            self._fragment_cache = None
+            self._deflated_cache = None
+        return previous
 
     def value_of(self, item: int) -> float | None:
         """The stored opinion on ``item`` or ``None`` if unrated."""
-        entry = self._ratings.get(item)
-        return entry[0] if entry is not None else None
+        return self._ratings.get(item)
 
     def liked_items(self) -> frozenset[int]:
         """Items this user liked (the vector used by cosine similarity).
@@ -86,23 +109,30 @@ class Profile:
         a busy server.
         """
         if self._liked_frozen is None:
-            self._liked_frozen = frozenset(self._liked)
+            self._liked_frozen = frozenset(
+                [item for item, opinion in self._ratings.items() if opinion]
+            )
         return self._liked_frozen
 
-    def liked_live(self) -> AbstractSet[int]:
-        """The liked set itself -- no snapshot, no copy.
+    def liked_live(self) -> list[int] | frozenset[int]:
+        """The liked items, computed on each call and not cached.
 
-        For one-shot bulk reads that are done with it before the next
-        write (an index rebuild over every profile): freezing a copy
-        per profile, as :meth:`liked_items` does for its many-reads
-        callers, would cost more than the read.  Read-only.
+        For one-shot readers that copy the items elsewhere (the liked
+        matrix slicing a row into its arena): caching a frozenset per
+        profile, as :meth:`liked_items` does for its many-reads callers,
+        would keep a second copy of every like alive for nothing.
+        Returns the cached frozenset when one already exists.
         """
-        return self._liked
+        if self._liked_frozen is not None:
+            return self._liked_frozen
+        return [item for item, opinion in self._ratings.items() if opinion]
 
     def disliked_items(self) -> frozenset[int]:
         """Items this user explicitly disliked (cached between writes)."""
         if self._disliked_frozen is None:
-            self._disliked_frozen = frozenset(self._ratings) - self._liked
+            self._disliked_frozen = frozenset(
+                [item for item, opinion in self._ratings.items() if not opinion]
+            )
         return self._disliked_frozen
 
     def rated_items(self) -> frozenset[int]:
@@ -123,7 +153,7 @@ class Profile:
         """
         if self._payload_cache is None:
             self._payload_cache = {
-                str(item): value for item, (value, _) in self._ratings.items()
+                str(item): opinion for item, opinion in self._ratings.items()
             }
         return self._payload_cache
 
@@ -144,7 +174,7 @@ class Profile:
             payload = self._payload_cache
             if payload is None:
                 payload = {
-                    str(item): value for item, (value, _) in self._ratings.items()
+                    str(item): opinion for item, opinion in self._ratings.items()
                 }
             self._fragment_cache = encode_json(payload)
         return self._fragment_cache
@@ -175,11 +205,18 @@ class Profile:
         """Deep copy (used by offline baselines taking snapshots)."""
         duplicate = Profile(self.user_id)
         duplicate._ratings = dict(self._ratings)
-        duplicate._liked = set(self._liked)
         return duplicate
 
     def __repr__(self) -> str:
         return (
             f"Profile(user={self.user_id}, size={self.size}, "
-            f"liked={len(self._liked)})"
+            f"liked={sum(self._ratings.values()):.0f})"
         )
+
+
+#: ``profile -> its item -> opinion dict``: the live dict itself, for
+#: bulk readers that walk every profile in one flat pass (the liked
+#: matrix's postings rebuild) and are done with it before the next
+#: write.  A C-level getter, so a pass over many profiles pays no
+#: Python call per profile.  Read-only.
+ratings_of: Callable[[Profile], Mapping[int, float]] = attrgetter("_ratings")

@@ -126,6 +126,9 @@ class HyRecServer:
     def __init__(self, config: HyRecConfig | None = None, seed: int = 0) -> None:
         self.config = config if config is not None else HyRecConfig()
         self.profiles = ProfileTable()
+        #: ``user_id -> profile or None``, bound once: the write path's
+        #: "seen this user?" test is then one C-level probe.
+        self._profile_of = self.profiles.lookup()
         self.knn_table = KnnTable()
         self.sampler = HyRecSampler(
             self.knn_table,
@@ -317,7 +320,8 @@ class HyRecServer:
         self, user_id: int, item: int, value: float, timestamp: float = 0.0
     ) -> None:
         """Update the Profile Table with one fresh opinion."""
-        self.register_user(user_id)
+        if self._profile_of(user_id) is None:
+            self.register_user(user_id)
         self.profiles.record(user_id, item, value, timestamp)
         if self._user_write_listeners:
             self._notify_user_write(user_id)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from repro.core.profiles import Profile
+from repro.core.profiles import OPINIONS, Profile
 
 #: Observer signature for profile writes:
 #: ``(user_id, item, value, previous_value_or_None)``.
@@ -22,6 +22,10 @@ class ProfileTable:
     def __init__(self) -> None:
         self._profiles: dict[int, Profile] = {}
         self._listeners: list[WriteListener] = []
+        # One int object per item id, shared by every profile's dict:
+        # a write stream boxes a fresh int per write, and a key kept
+        # per rating would cost more than the rating's dict entry.
+        self._items: dict[int, int] = {}
 
     def add_listener(self, listener: WriteListener) -> None:
         """Subscribe to every write that goes through :meth:`record`.
@@ -93,15 +97,23 @@ class ProfileTable:
     def record(
         self, user_id: int, item: int, value: float, timestamp: float = 0.0
     ) -> Profile:
-        """Add one rating, creating the user on first sight."""
-        profile = self.get_or_create(user_id)
+        """Add one rating, creating the user on first sight.
+
+        One probe for the profile and one for the table's shared copy
+        of the item id; :meth:`Profile.add` hands back the previous
+        opinion the listeners need.  Listeners receive the shared item
+        and the stored opinion (:data:`~repro.core.profiles.LIKE` or
+        :data:`~repro.core.profiles.DISLIKE`), not the caller's objects.
+        """
+        profile = self._profiles.get(user_id)
+        if profile is None:
+            profile = self._profiles[user_id] = Profile(user_id)
+        item = self._items.setdefault(item, item)
+        previous = profile.add(item, value, timestamp)
         if self._listeners:
-            previous = profile.value_of(item)
-            profile.add(item, value, timestamp)
+            opinion = OPINIONS[value]
             for listener in self._listeners:
-                listener(user_id, item, value, previous)
-        else:
-            profile.add(item, value, timestamp)
+                listener(user_id, item, opinion, previous)
         return profile
 
     def liked_sets(self) -> dict[int, frozenset[int]]:
@@ -117,6 +129,7 @@ class ProfileTable:
         """Deep copy of the whole table."""
         duplicate = ProfileTable()
         duplicate._profiles = {uid: p.copy() for uid, p in self._profiles.items()}
+        duplicate._items = dict(self._items)
         return duplicate
 
 

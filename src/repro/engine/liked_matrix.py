@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import threading
 import time
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import Callable, Collection, Sequence
 
 import numpy as np
 
+from repro.core.profiles import ratings_of
 from repro.core.tables import ProfileTable
 from repro.engine.kernels import segment_sums
 from repro.obs.events import EventLog
@@ -314,7 +315,7 @@ class LikedMatrix:
         and a re-rate that doesn't flip the opinion costs nothing.
         """
         self.writes_applied += 1
-        col = self.column_of(item)
+        col = self.vocab.intern(item)
         liked_now = value == 1.0
         liked_before = previous == 1.0
         if liked_now and not liked_before:
@@ -430,7 +431,7 @@ class LikedMatrix:
 
     def _materialize(self, user_id: int) -> None:
         """Slice the user's liked set into the arena."""
-        liked = self._table.get(user_id).liked_items()
+        liked = self._table.get(user_id).liked_live()
         length = len(liked)
         if (
             self._used + length > self._arena.size
@@ -586,30 +587,41 @@ class LikedMatrix:
     def _rebuild_postings(self) -> None:
         """Recompute every posting from the live (owned) profiles.
 
-        Every owned like becomes a ``(column, user)`` pair in two flat
-        arrays, collected without per-like Python work; a stable sort
-        by column then lays all postings out back to back, each in
-        table order (what appending like by like would give), and the
-        lists become views of that one array.  A view has no spare
-        capacity, so a column's first later append moves it to a buffer
-        of its own.  Temporaries are a few ints per like.
+        One flat pass over the profiles' ``item -> opinion`` dicts: the
+        opinions are the like mask that picks the liked keys out of the
+        chained dicts (:func:`itertools.compress`), the liked keys go to
+        columns in one :meth:`ItemVocabulary.intern_columns` call, and
+        each user repeats once per like -- no Python list or set per
+        profile, no per-like Python work.  A stable sort by column then
+        lays all postings out back to back, each in table order (what
+        appending like by like would give), and the lists become views
+        of that one array.  A view has no spare capacity, so a column's
+        first later append moves it to a buffer of its own.
+        Temporaries are a few ints per like.
         """
         started = time.perf_counter()
         owns = self._row_filter
         users = list(self._table) if owns is None else list(filter(owns, self._table))
-        liked = [profile.liked_live() for profile in map(self._table.lookup(), users)]
-        cols = self.vocab.intern_columns(list(chain.from_iterable(liked)))
+        dicts = list(map(ratings_of, map(self._table.lookup(), users)))
+        cols = self.vocab.intern_columns(
+            list(
+                compress(
+                    chain.from_iterable(dicts),
+                    chain.from_iterable(map(dict.values, dicts)),
+                )
+            )
+        )
+        # Likes per user: opinions are 1.0 / 0.0, so a sum counts them.
+        likes = np.fromiter(map(sum, map(dict.values, dicts)), np.int64, len(dicts))
         # Stable sort by column as two radix passes over 16-bit halves:
         # numpy radix-sorts 16-bit keys, several times faster than its
         # 64-bit merge sort.
         order = np.lexsort(
             ((cols & 0xFFFF).astype(np.uint16), (cols >> 16).astype(np.uint16))
         )
-        likers = np.repeat(
-            np.asarray(users, dtype=np.int64), list(map(len, liked))
-        )[order]
+        likers = np.repeat(np.asarray(users, dtype=np.int64), likes)[order]
         per_col = np.bincount(cols, minlength=len(self.vocab)).tolist()
-        del liked, cols, order
+        del cols, order
         ends = list(accumulate(per_col))
         self._postings = [
             likers[end - length : end] for end, length in zip(ends, per_col)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.profiles import Profile
+from repro.core.profiles import DISLIKE, LIKE, Profile
+from repro.core.tables import ProfileTable
 from repro.messages import encode_json
 
 
@@ -52,6 +53,58 @@ class TestProfileBasics:
         profile.add(2, 0.0)
         assert len(profile) == 2
         assert set(profile) == {1, 2}
+
+
+class TestCanonicalOpinion:
+    """A like is stored, encoded and announced one way, whatever the
+    caller's type: otherwise a profile's wire bytes (and Figure 10's
+    byte counts) would depend on how the rating arrived."""
+
+    @pytest.mark.parametrize(
+        "spellings", [(True, 1, 1.0), (False, 0, 0.0)], ids=["like", "dislike"]
+    )
+    def test_every_spelling_renders_the_same(self, spellings):
+        profiles = []
+        for value in spellings:
+            profile = Profile(1)
+            profile.add(5, value)
+            profile.add(6, 1.0 - float(value))
+            profiles.append(profile)
+        first = profiles[0]
+        for profile in profiles[1:]:
+            assert profile.json_fragment() == first.json_fragment()
+            assert encode_json(profile.to_payload()) == encode_json(first.to_payload())
+            assert profile.deflated_fragment() == first.deflated_fragment()
+        for profile in profiles:
+            assert type(profile.value_of(5)) is float
+            assert encode_json(profile.to_payload()) == profile.json_fragment()
+
+    def test_stored_opinion_is_the_shared_constant(self):
+        profile = Profile(1)
+        profile.add(5, True)
+        profile.add(6, 0)
+        assert profile.value_of(5) is LIKE
+        assert profile.value_of(6) is DISLIKE
+
+    def test_add_returns_previous_opinion(self):
+        profile = Profile(1)
+        assert profile.add(5, 1) is None
+        assert profile.add(5, False) is LIKE
+        assert profile.add(5, 0.0) is DISLIKE
+
+    def test_listener_receives_the_stored_opinion(self):
+        table = ProfileTable()
+        seen = []
+        table.add_listener(lambda *write: seen.append(write))
+        table.record(1, 5, True)
+        table.record(1, 5, 0)
+        assert seen == [(1, 5, 1.0, None), (1, 5, 0.0, 1.0)]
+        assert [type(value) for _, _, value, _ in seen] == [float, float]
+
+    @pytest.mark.parametrize("value", [2, -1.0, 0.5, float("nan"), "1", None, [1]])
+    def test_anything_else_is_rejected(self, value):
+        with pytest.raises(ValueError, match="binary"):
+            Profile(1).add(5, value)
 
 
 class TestPayloadCache:
